@@ -15,6 +15,7 @@
 //      parallel at 1/2/4/8 threads, recording epoch-advance and routing
 //      throughput plus scaling efficiency. Quick mode shrinks the members
 //      (the record identity stays that of a full run for bench_check).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -95,6 +96,10 @@ int main(int argc, char** argv) {
     const std::string json_path = bench::json_path_from_args(argc, argv);
     bench::JsonReport report("A3");
     bool mismatch = false;
+    // Envelope: every federation run counts as one replica; `threads` is the
+    // widest worker count used and `wall_ms` covers the whole bench.
+    const auto bench_t0 = std::chrono::steady_clock::now();
+    sweep::SweepStats envelope;
 
     bench::print_header("A3 (campus grid)", "Eridani inside the Queensgate campus grid",
                         "\"This hybrid cluster is utilised as part of the University of "
@@ -112,6 +117,7 @@ int main(int argc, char** argv) {
         const int kSeeds = 3;
         for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
             const QggRun run = run_qgg(hybrid, seed, /*threads=*/1);
+            ++envelope.replicas;
             const auto& s = run.report.total;
             done += static_cast<double>(s.completed);
             submitted += static_cast<double>(s.submitted);
@@ -146,9 +152,12 @@ int main(int argc, char** argv) {
                                                     : std::vector<int>{1, 4, 8};
     std::printf("\ndeterminism (QGG run, hybrid, seed 1):\n");
     const QggRun base = run_qgg(true, 1, kEqualityThreads.front());
+    ++envelope.replicas;
     for (std::size_t i = 1; i < kEqualityThreads.size(); ++i) {
         const int threads = kEqualityThreads[i];
         const QggRun run = run_qgg(true, 1, threads);
+        ++envelope.replicas;
+        envelope.threads = std::max(envelope.threads, threads);
         const bool equal = run.ledger == base.ledger;
         std::printf("  --threads %d vs %d: ledger %s (%zu B)\n", threads,
                     kEqualityThreads.front(), equal ? "byte-identical" : "DIVERGED",
@@ -199,6 +208,8 @@ int main(int argc, char** argv) {
                 .count();
         fed.run(scale_trace, sim::TimePoint{} + kHorizon);
         const grid::FederationStats& st = fed.stats();
+        ++envelope.replicas;
+        envelope.threads = std::max(envelope.threads, threads);
         const std::string ledger =
             grid::render_grid_ledger(fed.report(kHorizon.seconds()));
         if (scale_base_ledger.empty()) {
@@ -233,6 +244,13 @@ int main(int argc, char** argv) {
                 "(On a single-core host every thread count serialises — the speedup\n"
                 "column shows ~1x there and the scaling run is a determinism check.)\n");
 
+    envelope.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - bench_t0)
+                           .count();
+    envelope.replicas_per_sec =
+        envelope.wall_ms > 0 ? static_cast<double>(envelope.replicas) * 1000.0 / envelope.wall_ms
+                             : 0.0;
+    report.set_sweep(envelope);
     if (!json_path.empty() && !report.write(json_path)) return 1;
     return mismatch ? 1 : 0;
 }

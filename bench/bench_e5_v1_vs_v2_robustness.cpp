@@ -209,13 +209,14 @@ std::vector<FlagWriteOutcome> flag_write_campaign(deploy::MiddlewareVersion vers
             }
             world.hybrid.arm_faults(plan, seed);
             world.engine.run_until(sim::TimePoint{} + sim::hours(8));
-            FlagWriteOutcome out;
-            out.nodes_up = count_up(world.hybrid);
-            out.node_count = world.hybrid.cluster().node_count();
-            if (world.hybrid.recovery() != nullptr) out.recovery = world.hybrid.recovery()->stats();
+            FlagWriteOutcome outcome;
+            outcome.nodes_up = count_up(world.hybrid);
+            outcome.node_count = world.hybrid.cluster().node_count();
+            if (world.hybrid.recovery() != nullptr)
+                outcome.recovery = world.hybrid.recovery()->stats();
             if (world.hybrid.forked_injector() != nullptr)
-                out.corruptions = world.hybrid.forked_injector()->stats().control_corruptions;
-            return out;
+                outcome.corruptions = world.hybrid.forked_injector()->stats().control_corruptions;
+            return outcome;
         },
         &fs);
     fs.prefix_sim_s = 29 * 60.0;

@@ -1,6 +1,8 @@
 #include "pbs/server.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <utility>
 
 #include "util/errors.hpp"
 
@@ -42,6 +44,7 @@ bool NodeRecord::has_properties(const std::vector<std::string>& required) const 
 PbsServer::PbsServer(sim::Engine& engine, PbsServerConfig config)
     : engine_(engine), config_(std::move(config)), next_seq_(config_.first_job_seq) {
     util::require(!config_.server_name.empty(), "PbsServer: server_name required");
+    util::require(config_.first_job_seq > 0, "PbsServer: first_job_seq must be > 0");
     obs::Hub& hub = engine_.obs();
     obs_cycles_ = hub.metrics().counter("pbs.sched.cycles");
     obs_track_ = hub.tracer().track("pbs/sched");
@@ -66,8 +69,9 @@ void PbsServer::attach_node(Node& node) {
     const std::size_t idx = nodes_.size();
     NodeRecord rec;
     rec.node = &node;
-    rec.cpu_owner.assign(static_cast<std::size_t>(node.np()), std::string{});
+    rec.cpu_owner.assign(static_cast<std::size_t>(node.np()), 0);
     rec.free_count = node.np();
+    if (fit_.size() < rec.cpu_owner.size()) fit_.resize(rec.cpu_owner.size());
     rec.idle_since_unix = engine_.unix_now();
     nodes_.push_back(std::move(rec));
     node_index_[&node] = idx;
@@ -101,22 +105,15 @@ void PbsServer::touch_job(Job& job) {
 
 void PbsServer::update_node_sets(std::size_t idx) {
     NodeRecord& rec = nodes_[idx];
-    const bool want_free = rec.in_free_agg && rec.free_count > 0;
-    if (want_free != rec.in_free_set) {
-        if (want_free)
-            free_nodes_.insert(static_cast<int>(idx));
-        else
-            free_nodes_.erase(static_cast<int>(idx));
-        rec.in_free_set = want_free;
-    }
-    const bool want_idle = rec.in_free_agg && rec.used_cpus() == 0;
-    if (want_idle != rec.in_idle_set) {
-        if (want_idle)
-            idle_nodes_.insert(static_cast<int>(idx));
-        else
-            idle_nodes_.erase(static_cast<int>(idx));
-        rec.in_idle_set = want_idle;
-    }
+    // A free-count move from a to b flips exactly |a - b| fit bits.
+    const int level = rec.in_free_agg ? rec.free_count : 0;
+    for (int p = rec.fit_level; p < level; ++p) fit_[static_cast<std::size_t>(p)].set(idx);
+    for (int p = level; p < rec.fit_level; ++p) fit_[static_cast<std::size_t>(p)].reset(idx);
+    rec.fit_level = level;
+    if (rec.in_free_agg && rec.used_cpus() == 0)
+        idle_.set(idx);
+    else
+        idle_.reset(idx);
 }
 
 void PbsServer::adjust_free(std::size_t idx, int delta) {
@@ -197,9 +194,8 @@ void PbsServer::verify_incremental_state() const {
     int total = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeRecord& rec = nodes_[i];
-        int free = 0;
-        for (const auto& owner : rec.cpu_owner)
-            if (owner.empty()) ++free;
+        const int free = static_cast<int>(
+            std::count(rec.cpu_owner.begin(), rec.cpu_owner.end(), std::uint64_t{0}));
         util::ensure(free == rec.free_count,
                      "consistency: cached free count diverged from cpu_owner");
         const bool should_count = rec.reachable() && !rec.offline;
@@ -214,18 +210,14 @@ void PbsServer::verify_incremental_state() const {
         auto nit = name_index_.find(rec.node->hostname());
         util::ensure(nit != name_index_.end() && nit->second == i,
                      "consistency: name_index_ diverged");
-        // Candidate-set membership matches the brute-force predicate.
-        util::ensure(rec.in_free_set == (should_count && free > 0),
-                     "consistency: free-node set membership diverged");
-        util::ensure(rec.in_free_set ==
-                         (free_nodes_.count(static_cast<int>(i)) != 0),
-                     "consistency: free-node set flag diverged from set");
-        const bool should_idle = should_count && rec.used_cpus() == 0;
-        util::ensure(rec.in_idle_set == should_idle,
+        // Every fit-index bit and the idle bit match the brute-force predicate.
+        util::ensure(rec.fit_level == (should_count ? free : 0),
+                     "consistency: fit level diverged from node state");
+        for (std::size_t p = 1; p <= fit_.size(); ++p)
+            util::ensure(fit_[p - 1].test(i) == (should_count && free >= static_cast<int>(p)),
+                         "consistency: fit-index membership diverged");
+        util::ensure(idle_.test(i) == (should_count && rec.used_cpus() == 0),
                      "consistency: idle-node set membership diverged");
-        util::ensure(rec.in_idle_set ==
-                         (idle_nodes_.count(static_cast<int>(i)) != 0),
-                     "consistency: idle-node set flag diverged from set");
         // A clean stanza must equal a fresh render of the record.
         if (!rec.text_dirty) {
             const auto* chunk = pbsnodes_doc_.find(static_cast<util::TextDocument::Key>(i));
@@ -234,11 +226,18 @@ void PbsServer::verify_incremental_state() const {
         }
     }
     util::ensure(agg == free_cpu_agg_, "consistency: free-CPU aggregate diverged");
+    // No bit beyond the last record (next() would hand placement a bad index).
+    for (const auto& fit : fit_)
+        util::ensure(fit.next(nodes_.size()) == util::IndexBitset::npos,
+                     "consistency: fit index holds a stale record");
+    util::ensure(idle_.next(nodes_.size()) == util::IndexBitset::npos,
+                 "consistency: idle set holds a stale record");
     util::ensure(total == total_cpus_, "consistency: total-CPU count diverged");
 
     // active_by_seq_ holds exactly the non-completed jobs.
     std::size_t active = 0;
-    for (const auto& [id, job] : jobs_) {
+    for (const auto& [seq, job] : jobs_) {
+        util::ensure(job->seq == seq, "consistency: jobs_ key diverged from Job::seq");
         if (job->state == JobState::kCompleted) continue;
         ++active;
         auto it = active_by_seq_.find(job->seq);
@@ -275,9 +274,11 @@ void PbsServer::verify_incremental_state() const {
                  "consistency: a queued job is missing from the eligible list");
 }
 
-std::string PbsServer::make_job_id() {
-    return std::to_string(next_seq_++) + "." + config_.server_name;
+std::string PbsServer::job_id_for(std::uint64_t seq) const {
+    return std::to_string(seq) + "." + config_.server_name;
 }
+
+std::string PbsServer::make_job_id() { return job_id_for(next_seq_++); }
 
 Result<std::string> PbsServer::qsub(const std::string& script_text, const std::string& owner,
                                     JobBehavior behavior) {
@@ -310,13 +311,14 @@ Result<std::string> PbsServer::submit(const JobScript& script, const std::string
 
     const std::string id = job->id;
     Job* raw = job.get();
-    jobs_[id] = std::move(job);
+    jobs_[raw->seq] = std::move(job);
     active_by_seq_[raw->seq] = raw;
     queue_push_back(*raw);  // new seqs are monotonic, so append keeps order
     touch_job(*raw);
     ++stats_.submitted;
     mark_mutation();
-    engine_.logger().debug("pbs/" + config_.server_name, "qsub " + id);
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("pbs/" + config_.server_name, "qsub " + id);
     emit_event(JobEvent::kQueued, *raw);
     request_cycle();
     return id;
@@ -347,7 +349,8 @@ Status PbsServer::qhold(const std::string& job_id) {
     queue_unlink(*job);  // held jobs are invisible to the scheduler walk
     touch_job(*job);
     mark_mutation();
-    engine_.logger().debug("pbs/" + config_.server_name, "hold " + job_id);
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("pbs/" + config_.server_name, "hold " + job_id);
     // Holding the head job can unblock the rest of a strict-FIFO queue.
     request_cycle();
     return Status::ok_status();
@@ -361,7 +364,8 @@ Status PbsServer::qrls(const std::string& job_id) {
     queue_insert_by_seq(*job);  // back to its arrival slot
     touch_job(*job);
     mark_mutation();
-    engine_.logger().debug("pbs/" + config_.server_name, "release " + job_id);
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("pbs/" + config_.server_name, "release " + job_id);
     request_cycle();
     return Status::ok_status();
 }
@@ -377,14 +381,40 @@ Status PbsServer::set_node_offline(const std::string& hostname, bool offline) {
     return Status::ok_status();
 }
 
-Job* PbsServer::find_job(const std::string& job_id) {
-    auto it = jobs_.find(job_id);
+Status PbsServer::set_node_properties(const std::string& hostname,
+                                      std::vector<std::string> properties) {
+    auto it = name_index_.find(hostname);
+    if (it == name_index_.end()) return Error{"unknown node: " + hostname};
+    nodes_[it->second].properties = std::move(properties);
+    touch_node(it->second);
+    mark_mutation();
+    request_cycle();  // a blocked job may match the new properties
+    return Status::ok_status();
+}
+
+Job* PbsServer::job_by_seq(std::uint64_t seq) {
+    auto it = jobs_.find(seq);
     return it == jobs_.end() ? nullptr : it->second.get();
 }
 
-const Job* PbsServer::find_job(const std::string& job_id) const {
-    auto it = jobs_.find(job_id);
+const Job* PbsServer::job_by_seq(std::uint64_t seq) const {
+    auto it = jobs_.find(seq);
     return it == jobs_.end() ? nullptr : it->second.get();
+}
+
+Job* PbsServer::find_job(const std::string& job_id) {
+    return const_cast<Job*>(std::as_const(*this).find_job(job_id));
+}
+
+const Job* PbsServer::find_job(const std::string& job_id) const {
+    // Ids are "<seq>.<server>": the leading digits pick the record, the full
+    // compare rejects a wrong suffix, a bare seq or a non-canonical number.
+    std::uint64_t seq = 0;
+    const std::from_chars_result parsed =
+        std::from_chars(job_id.data(), job_id.data() + job_id.size(), seq);
+    if (parsed.ec != std::errc{}) return nullptr;
+    const Job* job = job_by_seq(seq);
+    return job != nullptr && job->id == job_id ? job : nullptr;
 }
 
 std::vector<const Job*> PbsServer::queued_jobs() const {
@@ -416,8 +446,10 @@ const std::vector<const NodeRecord*>& PbsServer::fully_idle_nodes() const {
     // in_free_agg && used == 0, which is exactly kFree with all cpus idle.
     if (idle_cache_version_ != version_) {
         idle_cache_.clear();
-        idle_cache_.reserve(idle_nodes_.size());
-        for (int idx : idle_nodes_) idle_cache_.push_back(&nodes_[static_cast<std::size_t>(idx)]);
+        idle_cache_.reserve(idle_.count());
+        for (std::size_t idx = idle_.next(0); idx != util::IndexBitset::npos;
+             idx = idle_.next(idx + 1))
+            idle_cache_.push_back(&nodes_[idx]);
         idle_cache_version_ = version_;
     }
     return idle_cache_;
@@ -437,16 +469,20 @@ void PbsServer::emit_event(JobEvent event, const Job& job) {
 
 std::optional<std::vector<int>> PbsServer::try_place(const Job& job) const {
     // Each of the `nodes` chunks goes on a distinct node with >= ppn free
-    // cpus and the required properties. Candidates come from the free-node
-    // set (ascending index, same visit order as a full scan), so the cost is
-    // O(candidates), independent of cluster size when the cluster is busy.
+    // cpus and the required properties. Candidates come from the fit level
+    // for ppn (ascending index, same visit order as a full scan), so every
+    // candidate has room and only the property filter can skip one.
     std::vector<int> chosen;
-    for (int idx : free_nodes_) {
-        if (static_cast<int>(chosen.size()) >= job.resources.nodes) break;
-        const NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        if (rec.free_cpus() < job.resources.ppn) continue;
-        if (!rec.has_properties(job.resources.properties)) continue;
-        chosen.push_back(idx);
+    const auto level = static_cast<std::size_t>(std::max(job.resources.ppn, 1));
+    if (level <= fit_.size()) {
+        const util::IndexBitset& fit = fit_[level - 1];
+        for (std::size_t idx = fit.next(0);
+             idx != util::IndexBitset::npos &&
+             static_cast<int>(chosen.size()) < job.resources.nodes;
+             idx = fit.next(idx + 1)) {
+            if (!nodes_[idx].has_properties(job.resources.properties)) continue;
+            chosen.push_back(static_cast<int>(idx));
+        }
     }
     if (static_cast<int>(chosen.size()) < job.resources.nodes) return std::nullopt;
     return chosen;
@@ -461,9 +497,8 @@ std::optional<std::vector<int>> PbsServer::try_place_bruteforce(const Job& job) 
          ++i) {
         const NodeRecord& rec = nodes_[i];
         if (rec.offline || !rec.reachable()) continue;
-        int free = 0;
-        for (const auto& owner : rec.cpu_owner)
-            if (owner.empty()) ++free;
+        const int free = static_cast<int>(
+            std::count(rec.cpu_owner.begin(), rec.cpu_owner.end(), std::uint64_t{0}));
         if (free == 0) continue;  // kJobExclusive, not kFree
         if (free < job.resources.ppn) continue;
         if (!rec.has_properties(job.resources.properties)) continue;
@@ -540,8 +575,8 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
         int assigned = 0;
         for (int cpu = static_cast<int>(rec.cpu_owner.size()) - 1;
              cpu >= 0 && assigned < job.resources.ppn; --cpu) {
-            if (!rec.cpu_owner[static_cast<std::size_t>(cpu)].empty()) continue;
-            rec.cpu_owner[static_cast<std::size_t>(cpu)] = job.id;
+            if (rec.cpu_owner[static_cast<std::size_t>(cpu)] != 0) continue;
+            rec.cpu_owner[static_cast<std::size_t>(cpu)] = job.seq;
             job.exec_slots.push_back(ExecSlot{rec.node->hostname(), cpu});
             ++assigned;
         }
@@ -553,16 +588,18 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     ++stats_.started;
     touch_job(job);
     mark_mutation();
-    engine_.logger().debug("pbs/" + config_.server_name,
-                           "run " + job.id + " on " + job.exec_host_string());
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("pbs/" + config_.server_name,
+                               "run " + job.id + " on " + job.exec_host_string());
     emit_event(JobEvent::kStarted, job);
 
     if (job.behavior.on_start) job.behavior.on_start(job);
 
     // Natural completion.
-    completion_events_[job.id] = engine_.schedule_after(job.behavior.run_time, [this, id = job.id] {
-        completion_events_.erase(id);
-        Job* j = find_job(id);
+    const std::uint64_t seq = job.seq;
+    completion_events_[seq] = engine_.schedule_after(job.behavior.run_time, [this, seq] {
+        completion_events_.erase(seq);
+        Job* j = job_by_seq(seq);
         if (j != nullptr && j->state == JobState::kRunning)
             finish_job(*j, CompletionKind::kNormal);
     });
@@ -570,13 +607,23 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     // Walltime enforcement.
     if (config_.enforce_walltime && job.resources.walltime.has_value() &&
         *job.resources.walltime < job.behavior.run_time) {
-        walltime_events_[job.id] =
-            engine_.schedule_after(*job.resources.walltime, [this, id = job.id] {
-                walltime_events_.erase(id);
-                Job* j = find_job(id);
-                if (j != nullptr && j->state == JobState::kRunning)
-                    finish_job(*j, CompletionKind::kWalltime);
-            });
+        walltime_events_[seq] = engine_.schedule_after(*job.resources.walltime, [this, seq] {
+            walltime_events_.erase(seq);
+            Job* j = job_by_seq(seq);
+            if (j != nullptr && j->state == JobState::kRunning)
+                finish_job(*j, CompletionKind::kWalltime);
+        });
+    }
+}
+
+void PbsServer::cancel_timers(std::uint64_t seq) {
+    if (auto it = completion_events_.find(seq); it != completion_events_.end()) {
+        engine_.cancel(it->second);
+        completion_events_.erase(it);
+    }
+    if (auto it = walltime_events_.find(seq); it != walltime_events_.end()) {
+        engine_.cancel(it->second);
+        walltime_events_.erase(it);
     }
 }
 
@@ -587,8 +634,8 @@ void PbsServer::release_allocation(Job& job) {
         NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
         int freed = 0;
         for (auto& owner : rec.cpu_owner) {
-            if (owner == job.id) {
-                owner.clear();
+            if (owner == job.seq) {
+                owner = 0;
                 ++freed;
             }
         }
@@ -604,9 +651,9 @@ void PbsServer::release_allocation(Job& job) {
 void PbsServer::purge_completed() {
     if (config_.completed_retention == 0) return;
     while (completed_order_.size() > config_.completed_retention) {
-        const std::string id = std::move(completed_order_.front());
+        const std::uint64_t seq = completed_order_.front();
         completed_order_.pop_front();
-        auto it = jobs_.find(id);
+        auto it = jobs_.find(seq);
         util::ensure(it != jobs_.end() && it->second->state == JobState::kCompleted,
                      "purge_completed: retention queue out of sync");
         jobs_.erase(it);
@@ -616,14 +663,7 @@ void PbsServer::purge_completed() {
 
 void PbsServer::finish_job(Job& job, CompletionKind kind) {
     // Cancel any pending timers for this job.
-    if (auto it = completion_events_.find(job.id); it != completion_events_.end()) {
-        engine_.cancel(it->second);
-        completion_events_.erase(it);
-    }
-    if (auto it = walltime_events_.find(job.id); it != walltime_events_.end()) {
-        engine_.cancel(it->second);
-        walltime_events_.erase(it);
-    }
+    cancel_timers(job.seq);
     queue_unlink(job);  // no-op unless the job was still queued
     release_allocation(job);
     job.state = JobState::kCompleted;
@@ -632,7 +672,7 @@ void PbsServer::finish_job(Job& job, CompletionKind kind) {
     active_by_seq_.erase(job.seq);
     removed_job_seqs_.push_back(job.seq);  // drop its qstat -f stanza
     job.text_dirty = false;  // completed jobs never re-render
-    completed_order_.push_back(job.id);
+    completed_order_.push_back(job.seq);
     mark_mutation();
     switch (kind) {
         case CompletionKind::kNormal: ++stats_.completed_normal; break;
@@ -641,8 +681,9 @@ void PbsServer::finish_job(Job& job, CompletionKind kind) {
         case CompletionKind::kWalltime: ++stats_.killed_walltime; break;
         case CompletionKind::kNone: break;
     }
-    engine_.logger().debug("pbs/" + config_.server_name,
-                           "job " + job.id + " completed (" + completion_kind_name(kind) + ")");
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("pbs/" + config_.server_name, "job " + job.id + " completed (" +
+                                                                 completion_kind_name(kind) + ")");
     switch (kind) {
         case CompletionKind::kNormal: emit_event(JobEvent::kEnded, job); break;
         case CompletionKind::kDeleted: emit_event(JobEvent::kDeleted, job); break;
@@ -683,26 +724,18 @@ void PbsServer::handle_node_down(Node& node) {
     set_schedulable(idx, false);
     mark_mutation();
     // Abort or requeue every job with an allocation on this node.
-    std::vector<std::string> victims;
-    for (const auto& owner : rec->cpu_owner)
-        if (!owner.empty() &&
-            std::find(victims.begin(), victims.end(), owner) == victims.end())
+    std::vector<std::uint64_t> victims;
+    for (const std::uint64_t owner : rec->cpu_owner)
+        if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
-    for (const auto& id : victims) {
-        Job* job = find_job(id);
+    for (const std::uint64_t seq : victims) {
+        Job* job = job_by_seq(seq);
         if (job == nullptr || job->state != JobState::kRunning) continue;
         if (job->rerunnable) {
             // Requeue: release everything, restore queued state. The job
             // keeps its original qtime, so FCFS order is preserved (it goes
             // back to the head region of the queue by seq order).
-            if (auto it = completion_events_.find(id); it != completion_events_.end()) {
-                engine_.cancel(it->second);
-                completion_events_.erase(it);
-            }
-            if (auto it = walltime_events_.find(id); it != walltime_events_.end()) {
-                engine_.cancel(it->second);
-                walltime_events_.erase(it);
-            }
+            cancel_timers(seq);
             release_allocation(*job);
             job->state = JobState::kQueued;
             job->stime_unix = 0;
@@ -713,7 +746,7 @@ void PbsServer::handle_node_down(Node& node) {
             queue_insert_by_seq(*job);
             touch_job(*job);
             engine_.logger().info("pbs/" + config_.server_name,
-                                  "requeued " + id + " after node failure");
+                                  "requeued " + job->id + " after node failure");
             emit_event(JobEvent::kRequeued, *job);
         } else {
             finish_job(*job, CompletionKind::kNodeFailure);
@@ -727,9 +760,11 @@ PbsServer::SavedState PbsServer::save_state() const {
     SavedState s;
     s.next_seq = next_seq_;
     s.nodes = nodes_;
-    for (const auto& [id, job] : jobs_) s.jobs.emplace(id, *job);
+    s.jobs.reserve(jobs_.size());
+    for (const auto& [_, job] : jobs_) s.jobs.push_back(*job);
+    s.eligible_order.reserve(eligible_count_);
     for (const Job* j = queue_head_; j != nullptr; j = j->queue_next)
-        s.eligible_order.push_back(j->id);
+        s.eligible_order.push_back(j->seq);
     s.completed_order = completed_order_;
     s.queue_unlinks = queue_unlinks_;
     s.completion_events = completion_events_;
@@ -737,8 +772,8 @@ PbsServer::SavedState PbsServer::save_state() const {
     s.stats = stats_;
     s.version = version_;
     s.free_cpu_agg = free_cpu_agg_;
-    s.free_nodes = free_nodes_;
-    s.idle_nodes = idle_nodes_;
+    s.fit = fit_;
+    s.idle = idle_;
     s.dirty_nodes = dirty_nodes_;
     s.dirty_job_seqs = dirty_job_seqs_;
     s.removed_job_seqs = removed_job_seqs_;
@@ -755,19 +790,18 @@ void PbsServer::restore_state(const SavedState& s) {
     nodes_ = s.nodes;
     jobs_.clear();
     active_by_seq_.clear();
-    for (const auto& [id, job] : s.jobs) {
+    for (const Job& job : s.jobs) {
         auto copy = std::make_unique<Job>(job);
         copy->queue_prev = nullptr;  // relinked below from the saved order
         copy->queue_next = nullptr;
-        jobs_.emplace(id, std::move(copy));
+        if (copy->state != JobState::kCompleted) active_by_seq_[job.seq] = copy.get();
+        jobs_.emplace(job.seq, std::move(copy));
     }
-    for (auto& [id, job] : jobs_)
-        if (job->state != JobState::kCompleted) active_by_seq_[job->seq] = job.get();
     queue_head_ = nullptr;
     queue_tail_ = nullptr;
     eligible_count_ = 0;
-    for (const std::string& id : s.eligible_order) {
-        Job* job = jobs_.at(id).get();
+    for (const std::uint64_t seq : s.eligible_order) {
+        Job* job = jobs_.at(seq).get();
         job->in_eligible_queue = true;
         job->queue_prev = queue_tail_;
         if (queue_tail_ != nullptr)
@@ -786,8 +820,8 @@ void PbsServer::restore_state(const SavedState& s) {
     stats_ = s.stats;
     version_ = s.version;
     free_cpu_agg_ = s.free_cpu_agg;
-    free_nodes_ = s.free_nodes;
-    idle_nodes_ = s.idle_nodes;
+    fit_ = s.fit;
+    idle_ = s.idle;
     idle_cache_.clear();
     idle_cache_version_ = ~0ull;  // derived cache: rebuilt lazily on demand
     dirty_nodes_ = s.dirty_nodes;

@@ -6,11 +6,13 @@
 // APIs for other programs".
 //
 // State is indexed for 100k-node / million-job scale: node lookups go
-// through hash maps (never a pointer scan), placement pops candidates from
-// an ordered free-node set instead of walking every record, the scheduler
-// walks an intrusive list of eligible queued jobs only, and the text layer
-// re-renders just the stanzas whose backing state moved (see
-// util::TextDocument and DESIGN.md "Indexed scheduler state").
+// through hash maps (never a pointer scan); jobs are keyed by their integer
+// sequence number, never by the id string; placement walks a bitset fit
+// index (one util::IndexBitset per free-CPU threshold) in ascending record
+// order instead of every record; the scheduler walks an intrusive list of
+// eligible queued jobs only; and the text layer re-renders just the stanzas
+// whose backing state moved (see util::TextDocument and DESIGN.md "Indexed
+// scheduler state").
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "pbs/job.hpp"
 #include "pbs/job_script.hpp"
 #include "sim/engine.hpp"
+#include "util/index_bitset.hpp"
 #include "util/result.hpp"
 #include "util/text_document.hpp"
 
@@ -49,7 +51,7 @@ enum class NodeState {
 struct NodeRecord {
     cluster::Node* node = nullptr;
     bool offline = false;        ///< admin flag (pbsnodes -o)
-    std::vector<std::string> cpu_owner;  ///< job id per cpu slot ("" = free)
+    std::vector<std::uint64_t> cpu_owner;  ///< owning Job::seq per cpu slot (0 = free)
     std::int64_t idle_since_unix = 0;
     std::vector<std::string> properties{"all"};
 
@@ -57,8 +59,9 @@ struct NodeRecord {
     // free_cpus() and the placement scan never re-count cpu_owner.
     int free_count = 0;       ///< cached number of empty cpu_owner slots
     bool in_free_agg = false; ///< contributing to the server's free-CPU total
-    bool in_free_set = false; ///< member of the placement candidate set
-    bool in_idle_set = false; ///< member of the fully-idle set
+    /// Number of fit-index levels holding this record: free_count while
+    /// schedulable, else 0. The record is in fit level p for p <= fit_level.
+    int fit_level = 0;
 
     /// Sim time of this node's last status report (the mom heartbeat the
     /// stanza's rectime/idletime/netload fields embed). Refreshed whenever
@@ -100,7 +103,9 @@ struct PbsServerConfig {
     std::string default_queue = "default";
     bool strict_fifo = true;       ///< pure FCFS: blocked head blocks the queue
     bool enforce_walltime = true;
-    std::uint64_t first_job_seq = 1185;  ///< ids start near the paper's listings
+    /// Ids start near the paper's listings. Must be > 0: seq 0 marks a free
+    /// cpu slot in NodeRecord::cpu_owner.
+    std::uint64_t first_job_seq = 1185;
     /// Completed-job records retained before the oldest are purged from the
     /// server (0 = keep everything, the TORQUE-ish default). Million-job
     /// arrival streams set this so resident memory tracks the *active* set,
@@ -146,6 +151,13 @@ public:
     /// Administrative node control (pbsnodes -o / -c). O(1) name lookup.
     [[nodiscard]] util::Status set_node_offline(const std::string& hostname, bool offline);
 
+    /// qmgr `set node <host> properties = ...`: replace the property list
+    /// that placement filters on and the node's stanza shows. O(1) lookup.
+    [[nodiscard]] util::Status set_node_properties(const std::string& hostname,
+                                                   std::vector<std::string> properties);
+
+    /// Job by its full id, or nullptr for any id this server never issued
+    /// or has purged (malformed ids included).
     [[nodiscard]] Job* find_job(const std::string& job_id);
     [[nodiscard]] const Job* find_job(const std::string& job_id) const;
 
@@ -233,9 +245,16 @@ private:
     friend struct PbsTextFormatter;
 
     [[nodiscard]] std::string make_job_id();
+    /// The id this server gives job `seq`: "<seq>.<server_name>".
+    [[nodiscard]] std::string job_id_for(std::uint64_t seq) const;
+    /// Job by sequence number, or nullptr (purged or never issued). O(1).
+    [[nodiscard]] Job* job_by_seq(std::uint64_t seq);
+    [[nodiscard]] const Job* job_by_seq(std::uint64_t seq) const;
     void start_job(Job& job, const std::vector<int>& record_indices);
     void finish_job(Job& job, CompletionKind kind);
     void release_allocation(Job& job);
+    /// Cancel and forget the job's pending completion/walltime events.
+    void cancel_timers(std::uint64_t seq);
     void handle_node_up(cluster::Node& node, cluster::OsType os);
     void handle_node_down(cluster::Node& node);
     [[nodiscard]] std::optional<std::vector<int>> try_place(const Job& job) const;
@@ -250,7 +269,7 @@ private:
     void adjust_free(std::size_t idx, int delta);
     /// Add/remove the record from the free-CPU aggregate (idempotent).
     void set_schedulable(std::size_t idx, bool schedulable);
-    /// Recompute free/idle set membership for the record from its counters.
+    /// Recompute fit-index and idle-set membership from the record's counters.
     void update_node_sets(std::size_t idx);
     /// Mark the node's stanza dirty and refresh its report timestamp.
     void touch_node(std::size_t idx);
@@ -284,9 +303,9 @@ private:
     std::vector<NodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
-    std::map<std::string, std::unique_ptr<Job>> jobs_;   ///< by id
-    std::map<std::uint64_t, Job*> active_by_seq_;        ///< non-completed, seq order
-    std::deque<std::string> completed_order_;            ///< completion order (retention)
+    std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;  ///< by seq
+    std::map<std::uint64_t, Job*> active_by_seq_;  ///< non-completed, seq order
+    std::deque<std::uint64_t> completed_order_;    ///< seqs in completion order (retention)
 
     // Eligible queued jobs (state kQueued), seq order. Head/tail of the
     // intrusive list threaded through Job::queue_prev/queue_next.
@@ -295,8 +314,8 @@ private:
     std::size_t eligible_count_ = 0;
     std::uint64_t queue_unlinks_ = 0;  ///< guards cycle iteration vs. reentrant removal
 
-    std::map<std::string, sim::EventId> completion_events_;
-    std::map<std::string, sim::EventId> walltime_events_;
+    std::unordered_map<std::uint64_t, sim::EventId> completion_events_;  ///< by seq
+    std::unordered_map<std::uint64_t, sim::EventId> walltime_events_;    ///< by seq
     void emit_event(JobEvent event, const Job& job);
 
     std::vector<std::function<void(const Job&)>> terminal_subscribers_;
@@ -312,11 +331,12 @@ private:
     int free_cpu_agg_ = 0;          ///< free CPUs on schedulable nodes
     bool consistency_checks_ = false;
 
-    // Placement candidates (schedulable, free_cpus > 0) and fully-idle
-    // nodes, by record index. Ordered so placement visits nodes in the same
-    // ascending-index order as the original full scan.
-    std::set<int> free_nodes_;
-    std::set<int> idle_nodes_;
+    // Fit index: fit_[p - 1] holds the schedulable records with
+    // free_count >= p, so a job needing ppn cpus per node walks only
+    // fit_[ppn - 1], in the same ascending-index order as the original full
+    // scan. idle_ holds the schedulable records with every cpu free.
+    std::vector<util::IndexBitset> fit_;
+    util::IndexBitset idle_;
     mutable std::vector<const NodeRecord*> idle_cache_;
     mutable std::uint64_t idle_cache_version_ = ~0ull;
 
@@ -350,17 +370,17 @@ public:
     struct SavedState {
         std::uint64_t next_seq = 0;
         std::vector<NodeRecord> nodes;
-        std::map<std::string, Job> jobs;
-        std::vector<std::string> eligible_order;  ///< head→tail id list
-        std::deque<std::string> completed_order;
+        std::vector<Job> jobs;
+        std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
+        std::deque<std::uint64_t> completed_order;
         std::uint64_t queue_unlinks = 0;
-        std::map<std::string, sim::EventId> completion_events;
-        std::map<std::string, sim::EventId> walltime_events;
+        std::unordered_map<std::uint64_t, sim::EventId> completion_events;
+        std::unordered_map<std::uint64_t, sim::EventId> walltime_events;
         ServerStats stats;
         std::uint64_t version = 0;
         int free_cpu_agg = 0;
-        std::set<int> free_nodes;
-        std::set<int> idle_nodes;
+        std::vector<util::IndexBitset> fit;
+        util::IndexBitset idle;
         std::vector<int> dirty_nodes;
         std::vector<std::uint64_t> dirty_job_seqs;
         std::vector<std::uint64_t> removed_job_seqs;

@@ -75,9 +75,9 @@ std::string PbsServer::render_node_stanza(const NodeRecord& rec) const {
     if (rec.used_cpus() > 0) {
         std::string jobs;
         for (std::size_t cpu = 0; cpu < rec.cpu_owner.size(); ++cpu) {
-            if (rec.cpu_owner[cpu].empty()) continue;
+            if (rec.cpu_owner[cpu] == 0) continue;
             if (!jobs.empty()) jobs += ", ";
-            jobs += std::to_string(cpu) + "/" + rec.cpu_owner[cpu];
+            jobs += std::to_string(cpu) + "/" + job_id_for(rec.cpu_owner[cpu]);
         }
         out += "     jobs = " + jobs + "\n";
     }

@@ -16,8 +16,7 @@ const char* log_level_name(LogLevel level) {
 }
 
 void Logger::log(LogLevel level, std::string component, std::string message) {
-    if (static_cast<int>(level) < static_cast<int>(min_level_)) return;
-    if (sinks_.empty()) return;
+    if (!enabled(level)) return;
     LogRecord r;
     r.level = level;
     r.sim_time = clock_ ? clock_() : 0;

@@ -40,6 +40,13 @@ public:
     void add_sink(Sink sink) { sinks_.push_back(std::move(sink)); }
     void clear_sinks() { sinks_.clear(); }
 
+    /// Whether a record at `level` would reach a sink: at or above
+    /// min_level with at least one sink attached. Callers guard records that
+    /// are costly to build with it.
+    [[nodiscard]] bool enabled(LogLevel level) const {
+        return static_cast<int>(level) >= static_cast<int>(min_level_) && !sinks_.empty();
+    }
+
     void log(LogLevel level, std::string component, std::string message);
 
     void trace(std::string component, std::string message) {

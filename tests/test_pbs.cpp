@@ -2,11 +2,18 @@
 // the paper's Fig 4 switch script), and the batch server's FCFS semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "core/switch_job.hpp"
 #include "pbs/job_script.hpp"
 #include "pbs/resource_list.hpp"
 #include "pbs/server.hpp"
+#include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace hc::pbs {
 namespace {
@@ -401,6 +408,259 @@ TEST_F(PbsFixture, SubmitValidation) {
     EXPECT_FALSE(server.submit(script, "").ok());
     EXPECT_FALSE(server.qsub("#PBS -l nodes=zero\n", "u").ok());
 }
+
+// ---------- malformed / stale job ids ----------
+
+TEST(PbsJobIds, BadIdsGiveTypedErrors) {
+    sim::Engine engine;
+    cluster::ClusterConfig cfg;
+    cfg.node_count = 2;
+    cfg.timing.jitter = 0;
+    cluster::Cluster cluster{engine, cfg};
+    PbsServerConfig server_cfg;
+    server_cfg.completed_retention = 1;
+    PbsServer server{engine, server_cfg};
+    for (auto* node : cluster.nodes()) {
+        node->set_boot_resolver([](const cluster::Node&) {
+            cluster::BootDecision d;
+            d.os = OsType::kLinux;
+            return d;
+        });
+        server.attach_node(*node);
+        node->power_on();
+    }
+    engine.run_all();
+    auto submit = [&] {
+        JobScript script;
+        JobBehavior behavior;
+        behavior.run_time = sim::minutes(1);
+        return server.submit(script, "sliang", std::move(behavior)).value();
+    };
+    const std::string purged = submit();  // 1185: purged once two more complete
+    submit();
+    submit();
+    engine.run_all();
+    ASSERT_EQ(server.stats().purged, 2u);
+    const std::string held = submit();  // a live job whose seq the bad ids share
+    ASSERT_EQ(held, "1188.eridani.qgg.hud.ac.uk");
+
+    const std::vector<std::string> bad = {
+        "",
+        ".",
+        "1188",
+        "1188.",
+        "-1.x",
+        "abc.eridani.qgg.hud.ac.uk",
+        "1188.tauceti.qgg.hud.ac.uk",                  // wrong server suffix
+        "01188.eridani.qgg.hud.ac.uk",                 // non-canonical number
+        "18446744073709551616.eridani.qgg.hud.ac.uk",  // 2^64: overflows uint64_t
+        "99999999999999999999999.eridani.qgg.hud.ac.uk",
+        purged,
+    };
+    const PbsServer& const_server = server;
+    for (const std::string& id : bad) {
+        EXPECT_EQ(server.find_job(id), nullptr) << "'" << id << "'";
+        EXPECT_EQ(const_server.find_job(id), nullptr) << "'" << id << "'";
+        for (const util::Status& st : {server.qdel(id), server.qhold(id), server.qrls(id)}) {
+            ASSERT_FALSE(st.ok()) << "'" << id << "'";
+            EXPECT_NE(st.error_message().find("unknown job"), std::string::npos)
+                << st.error_message();
+        }
+    }
+    // The live job is untouched by any of the look-alikes.
+    ASSERT_NE(server.find_job(held), nullptr);
+    EXPECT_EQ(server.find_job(held)->state, JobState::kRunning);
+}
+
+TEST(PbsJobIds, FirstJobSeqMustBePositive) {
+    // Seq 0 marks a free cpu slot, so no job may be issued it.
+    sim::Engine engine;
+    PbsServerConfig cfg;
+    cfg.first_job_seq = 0;
+    EXPECT_THROW(PbsServer(engine, cfg), util::PreconditionError);
+}
+
+// ---------- fit index vs brute force under churn ----------
+
+/// A PBS server over 30 nodes of mixed width (np 1/2/4/8/16, interleaved so
+/// every fit level is sparse), with consistency checks on: every scheduler
+/// cycle cross-checks each fit-index bit and every placement against the
+/// brute-force scan, and throws on divergence.
+struct ChurnWorld {
+    static constexpr int kWidths[] = {1, 2, 4, 8, 16};
+
+    sim::Engine engine;
+    std::vector<std::unique_ptr<cluster::Cluster>> clusters;
+    std::unique_ptr<PbsServer> server;
+    std::vector<cluster::Node*> nodes;  ///< in attach (record) order
+    std::string events;                 ///< lifecycle log, one line per event
+
+    ChurnWorld(std::uint64_t seed, bool strict_fifo) {
+        for (const int np : kWidths) {
+            cluster::ClusterConfig cfg;
+            cfg.node_count = 6;
+            cfg.cores_per_node = np;
+            cfg.domain = "np" + std::to_string(np) + ".test";
+            cfg.seed = seed;
+            clusters.push_back(std::make_unique<cluster::Cluster>(engine, cfg));
+        }
+        PbsServerConfig cfg;
+        cfg.strict_fifo = strict_fifo;
+        cfg.completed_retention = 16;
+        server = std::make_unique<PbsServer>(engine, cfg);
+        server->enable_consistency_checks(true);
+        server->on_job_event([this](PbsServer::JobEvent ev, const Job& job) {
+            events += std::to_string(static_cast<int>(ev)) + " " + job.id + " " +
+                      std::to_string(engine.unix_now()) + " " + job.exec_host_string() + "\n";
+        });
+        for (int i = 0; i < 6; ++i)
+            for (auto& c : clusters) nodes.push_back(&c->node(i));
+        for (cluster::Node* node : nodes) {
+            // Every fifth boot of a node lands in Windows (PBS sees it down).
+            // Keyed on the restored boot count, so a replay boots the same way.
+            node->set_boot_resolver([](const cluster::Node& n) {
+                cluster::BootDecision d;
+                d.os = (n.stats().boots + static_cast<std::uint64_t>(n.index())) % 5 == 4
+                           ? OsType::kWindows
+                           : OsType::kLinux;
+                return d;
+            });
+            server->attach_node(*node);
+            node->power_on();
+        }
+        engine.run_all();
+    }
+
+    struct Saved {
+        sim::Engine::Snapshot calendar;
+        std::vector<cluster::Cluster::SavedState> clusters;
+        PbsServer::SavedState server;
+        std::size_t events_size;
+    };
+
+    Saved save() {
+        Saved s{engine.snapshot(), {}, server->save_state(), events.size()};
+        for (const auto& c : clusters) s.clusters.push_back(c->save_state());
+        return s;
+    }
+
+    void restore(const Saved& s) {
+        engine.restore(s.calendar);
+        for (std::size_t i = 0; i < clusters.size(); ++i)
+            clusters[i]->restore_state(s.clusters[i]);
+        server->restore_state(s.server);
+        events.resize(s.events_size);
+    }
+
+    /// One random action, then a random stretch of simulated time.
+    void step(util::Rng& rng, std::vector<std::string>& ids) {
+        static const std::vector<std::vector<std::string>> kPropertySets = {
+            {"all"}, {"all", "bigmem"}, {"all", "gpu"}, {"all", "bigmem", "gpu"}};
+        // Half the time the queue head (so a strict-FIFO queue blocked on
+        // an unplaceable job moves on), otherwise any id ever issued.
+        auto pick_id = [&]() -> std::string {
+            const auto queued = server->queued_jobs();
+            if (!queued.empty() && rng.chance(0.5)) return queued.front()->id;
+            return ids[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+        };
+        auto pick_node = [&]() -> cluster::Node& {
+            return *nodes[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+        };
+        const auto action = rng.uniform_int(0, 99);
+        if (action < 45 || ids.empty()) {
+            static const int kPpn[] = {1, 1, 2, 3, 4, 8, 16};
+            JobScript script;
+            script.resources.ppn = kPpn[rng.uniform_int(0, 6)];
+            script.resources.nodes =
+                static_cast<int>(rng.uniform_int(1, script.resources.ppn >= 8 ? 1 : 3));
+            if (rng.chance(0.2)) script.resources.properties.push_back("bigmem");
+            if (rng.chance(0.1)) script.resources.properties.push_back("gpu");
+            script.rerunnable = rng.chance(0.6);
+            JobBehavior behavior;
+            behavior.run_time = sim::seconds(rng.uniform(60, 3600));
+            if (rng.chance(0.15))  // killed at its walltime
+                script.resources.walltime = sim::seconds(rng.uniform(30, 600));
+            auto id = server->submit(script, "churn", std::move(behavior));
+            ASSERT_TRUE(id.ok()) << id.error_message();
+            ids.push_back(id.value());
+        } else if (action < 53) {
+            (void)server->qhold(pick_id());
+        } else if (action < 61) {
+            (void)server->qrls(pick_id());
+        } else if (action < 66) {
+            (void)server->qdel(pick_id());
+        } else if (action < 75) {
+            cluster::Node& node = pick_node();
+            const auto& rec = server->node_records()[static_cast<std::size_t>(
+                std::find(nodes.begin(), nodes.end(), &node) - nodes.begin())];
+            ASSERT_TRUE(server->set_node_offline(node.hostname(), !rec.offline).ok());
+        } else if (action < 85) {
+            cluster::Node& node = pick_node();
+            if (node.is_up())
+                node.reboot();  // running jobs requeue or abort
+            else
+                node.hard_power_cycle();
+        } else if (action < 92) {
+            cluster::Node& node = pick_node();
+            const auto& props = kPropertySets[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+            ASSERT_TRUE(server->set_node_properties(node.hostname(), props).ok());
+        }
+        engine.run_for(sim::seconds(rng.uniform(0, 900)));
+    }
+
+    /// Everything observable: both text outputs (checked against their
+    /// reference renders), the lifecycle log and the counters.
+    std::string fingerprint() {
+        const std::string nodes_text = server->pbsnodes_output();
+        const std::string jobs_text = server->qstat_f_output();
+        EXPECT_EQ(nodes_text, server->debug_full_render_pbsnodes());
+        EXPECT_EQ(jobs_text, server->debug_full_render_qstat_f());
+        const ServerStats& st = server->stats();
+        return nodes_text + jobs_text + server->qstat_output() + events +
+               std::to_string(st.started) + "/" + std::to_string(st.completed_normal) + "/" +
+               std::to_string(st.deleted) + "/" + std::to_string(st.aborted_node_failure) +
+               "/" + std::to_string(st.killed_walltime) + "/" + std::to_string(st.requeued) +
+               "/" + std::to_string(st.purged) + "/" + std::to_string(server->version());
+    }
+};
+
+class PbsFitIndexChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PbsFitIndexChurn, MatchesBruteForceAndReplaysFromSnapshot) {
+    const std::uint64_t seed = GetParam();
+    ChurnWorld world(seed, /*strict_fifo=*/seed % 2 == 0);
+    util::Rng rng(seed);
+    std::vector<std::string> ids;
+    constexpr int kSteps = 600;
+    constexpr int kSplit = 250;
+    for (int i = 0; i < kSplit; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
+
+    const ChurnWorld::Saved saved = world.save();
+    const util::Rng rng_at_split = rng;
+    const std::vector<std::string> ids_at_split = ids;
+    for (int i = kSplit; i < kSteps; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
+    world.engine.run_all();
+    const std::string straight = world.fingerprint();
+    const ServerStats stats = world.server->stats();
+
+    world.restore(saved);
+    rng = rng_at_split;
+    ids = ids_at_split;
+    for (int i = kSplit; i < kSteps; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
+    world.engine.run_all();
+    EXPECT_EQ(world.fingerprint(), straight);
+
+    // The churn reached every path the index has to follow.
+    EXPECT_GT(stats.started, 100u);
+    EXPECT_GT(stats.requeued + stats.aborted_node_failure, 0u);
+    EXPECT_GT(stats.killed_walltime, 0u);
+    EXPECT_GT(stats.deleted, 0u);
+    EXPECT_GT(stats.purged, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PbsFitIndexChurn, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace hc::pbs

@@ -147,10 +147,12 @@ TEST_P(PbsInvariants, NoCoreDoubleBookingEver) {
         // 2. A running job's allocation exactly matches its request.
         int used = 0;
         for (const auto& rec : server.node_records()) {
-            for (const auto& owner : rec.cpu_owner) {
-                if (owner.empty()) continue;
+            for (const std::uint64_t owner : rec.cpu_owner) {
+                if (owner == 0) continue;
                 ++used;
-                const pbs::Job* job = server.find_job(owner);
+                // Slots hold the owner's seq; the server issues "<seq>.<server>".
+                const pbs::Job* job =
+                    server.find_job(std::to_string(owner) + "." + server.server_name());
                 ASSERT_NE(job, nullptr);
                 EXPECT_EQ(job->state, pbs::JobState::kRunning);
             }

@@ -190,8 +190,9 @@ TEST(EngineSnapshot, ArenaRewindReclaimsSuffixIncludingOversizedBlocks) {
         (void)arena.allocate(64 * 1024);
         log.clear();
         engine.run_until(sim::TimePoint{} + sim::Duration{3000});
-        if (round > 0)
+        if (round > 0) {
             EXPECT_GT(arena.oversized_block_count(), oversized_after_restore);
+        }
 
         engine.restore(snap);
         if (round == 0) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "util/errors.hpp"
 #include "util/histogram.hpp"
+#include "util/index_bitset.hpp"
 #include "util/log.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -382,9 +384,98 @@ TEST(Log, MinLevelFiltersRecords) {
     EXPECT_EQ(sink->records()[0].message, "kept");
 }
 
+TEST(Log, EnabledNeedsLevelAndSink) {
+    Logger logger;
+    EXPECT_FALSE(logger.enabled(LogLevel::kError));  // no sink: every record drops
+    logger.add_sink([](const LogRecord&) {});
+    EXPECT_TRUE(logger.enabled(LogLevel::kInfo));
+    EXPECT_FALSE(logger.enabled(LogLevel::kDebug));  // default min level is info
+    logger.set_min_level(LogLevel::kTrace);
+    EXPECT_TRUE(logger.enabled(LogLevel::kTrace));
+    logger.clear_sinks();
+    EXPECT_FALSE(logger.enabled(LogLevel::kError));
+}
+
 TEST(Log, FormatRecord) {
     LogRecord r{LogLevel::kError, 5, "pbs", "bad"};
     EXPECT_EQ(format_log_record(r), "[      5s] ERROR pbs: bad");
+}
+
+// ---------- index bitset ----------
+
+/// Every member in ascending order, read through next().
+std::vector<std::size_t> members(const IndexBitset& bits) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = bits.next(0); i != IndexBitset::npos; i = bits.next(i + 1))
+        out.push_back(i);
+    return out;
+}
+
+TEST(IndexBitset, EmptySetHasNoMembers) {
+    IndexBitset bits;
+    EXPECT_EQ(bits.count(), 0u);
+    EXPECT_EQ(bits.next(0), IndexBitset::npos);
+    EXPECT_EQ(bits.next(1'000'000), IndexBitset::npos);
+    EXPECT_FALSE(bits.test(0));
+    bits.reset(12345);  // out of range: a no-op, not a write
+    EXPECT_EQ(bits.count(), 0u);
+}
+
+TEST(IndexBitset, NextCrossesWordAndSummaryBoundaries) {
+    IndexBitset bits;
+    for (std::size_t i : {63u, 64u, 4095u, 4096u, 9000u}) bits.set(i);
+    EXPECT_EQ(bits.count(), 5u);
+    EXPECT_EQ(bits.next(0), 63u);
+    EXPECT_EQ(bits.next(63), 63u);
+    EXPECT_EQ(bits.next(64), 64u);   // first bit of the next word
+    EXPECT_EQ(bits.next(65), 4095u); // last bit of the first summary word
+    EXPECT_EQ(bits.next(4096), 4096u);
+    EXPECT_EQ(bits.next(4097), 9000u);
+    EXPECT_EQ(bits.next(9001), IndexBitset::npos);  // end of the set
+    EXPECT_EQ(members(bits), (std::vector<std::size_t>{63, 64, 4095, 4096, 9000}));
+}
+
+TEST(IndexBitset, ResetClearsSummaryBit) {
+    IndexBitset bits;
+    bits.set(100);
+    bits.set(5000);
+    bits.reset(100);  // its word is now empty: next() must skip straight past it
+    EXPECT_FALSE(bits.test(100));
+    EXPECT_EQ(bits.next(0), 5000u);
+    bits.reset(5000);
+    EXPECT_EQ(bits.next(0), IndexBitset::npos);
+    EXPECT_EQ(bits.count(), 0u);
+    bits.set(100);
+    bits.set(100);  // idempotent
+    EXPECT_EQ(bits.count(), 1u);
+    EXPECT_EQ(bits.next(0), 100u);
+}
+
+TEST(IndexBitset, RandomOpsMatchOrderedSetOracle) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        Rng rng(seed);
+        IndexBitset bits;
+        std::set<std::size_t> oracle;
+        // Dense near the word/summary edges, sparse beyond them.
+        const std::int64_t hi = seed % 2 == 0 ? 300 : 20'000;
+        for (int step = 0; step < 4000; ++step) {
+            const auto i = static_cast<std::size_t>(rng.uniform_int(0, hi));
+            if (rng.chance(0.55)) {
+                bits.set(i);
+                oracle.insert(i);
+            } else {
+                bits.reset(i);
+                oracle.erase(i);
+            }
+            const auto from = static_cast<std::size_t>(rng.uniform_int(0, hi + 70));
+            const auto it = oracle.lower_bound(from);
+            ASSERT_EQ(bits.next(from), it == oracle.end() ? IndexBitset::npos : *it)
+                << "seed " << seed << " step " << step << " from " << from;
+            ASSERT_EQ(bits.test(i), oracle.count(i) == 1);
+            ASSERT_EQ(bits.count(), oracle.size());
+        }
+        EXPECT_EQ(members(bits), std::vector<std::size_t>(oracle.begin(), oracle.end()));
+    }
 }
 
 // ---------- table ----------
