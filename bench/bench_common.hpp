@@ -276,10 +276,8 @@ inline void add_scenario_records(JsonReport& report, const core::ScenarioResult&
 
 /// Footer line every sweep-migrated bench prints: how the replica pool ran.
 inline void print_sweep_stats(const sweep::SweepStats& st) {
-    std::printf("\nsweep: %zu replica(s) on %d thread(s), %.1f ms wall (%.1f replicas/s"
-                ", %llu steal(s))\n",
-                st.replicas, st.threads, st.wall_ms, st.replicas_per_sec,
-                static_cast<unsigned long long>(st.steals));
+    std::printf("\nsweep: %zu replica(s) on %d thread(s), %.1f ms wall (%.1f replicas/s)\n",
+                st.replicas, st.threads, st.wall_ms, st.replicas_per_sec);
 }
 
 /// Footer line for forked campaigns: how the warm-start amortised.

@@ -285,9 +285,8 @@ int main(int argc, char** argv) {
         report.add("sweep_replicas_per_sec", serial.replicas_per_sec, "replicas/s",
                    {{"threads", "1"}});
         const auto pooled = replica_sweep(replica_count, 8);
-        std::printf("  8 threads: %7.2f replicas/s  (%llu steal(s), %.0f ms)\n",
-                    pooled.replicas_per_sec,
-                    static_cast<unsigned long long>(pooled.steals), pooled.wall_ms);
+        std::printf("  8 threads: %7.2f replicas/s  (%zu replicas, %.0f ms)\n",
+                    pooled.replicas_per_sec, pooled.replicas, pooled.wall_ms);
         report.add("sweep_replicas_per_sec", pooled.replicas_per_sec, "replicas/s",
                    {{"threads", "8"}});
         const double speedup = serial.replicas_per_sec > 0

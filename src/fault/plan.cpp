@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "util/json.hpp"
+#include "util/json_out.hpp"
 #include "util/rng.hpp"
 
 namespace hc::fault {
@@ -52,20 +52,20 @@ std::string FaultPlan::to_json() const {
     std::string out = "{\n  \"schema\": \"hc-fault-plan/1\",\n";
     out += "  \"seed\": " + std::to_string(seed) + ",\n";
     out += "  \"probabilities\": {";
-    out += "\"boot_hang\": " + obs::json_number(probabilities.boot_hang);
-    out += ", \"pxe_drop\": " + obs::json_number(probabilities.pxe_drop);
-    out += ", \"flag_torn_write\": " + obs::json_number(probabilities.flag_torn_write);
-    out += ", \"message_drop\": " + obs::json_number(probabilities.message_drop);
+    out += "\"boot_hang\": " + util::json_number(probabilities.boot_hang);
+    out += ", \"pxe_drop\": " + util::json_number(probabilities.pxe_drop);
+    out += ", \"flag_torn_write\": " + util::json_number(probabilities.flag_torn_write);
+    out += ", \"message_drop\": " + util::json_number(probabilities.message_drop);
     out += "},\n  \"events\": [";
     for (std::size_t i = 0; i < events.size(); ++i) {
         const FaultEvent& ev = events[i];
         out += i == 0 ? "\n" : ",\n";
-        out += "    {\"at_s\": " + obs::json_number(ev.at.seconds());
-        out += ", \"kind\": " + obs::json_quote(fault_kind_name(ev.kind));
+        out += "    {\"at_s\": " + util::json_number(ev.at.seconds());
+        out += ", \"kind\": " + util::json_quote(fault_kind_name(ev.kind));
         if (ev.node >= 0) out += ", \"node\": " + std::to_string(ev.node);
-        if (!ev.side.empty()) out += ", \"side\": " + obs::json_quote(ev.side);
+        if (!ev.side.empty()) out += ", \"side\": " + util::json_quote(ev.side);
         if (ev.duration.ms > 0)
-            out += ", \"duration_s\": " + obs::json_number(ev.duration.seconds());
+            out += ", \"duration_s\": " + util::json_number(ev.duration.seconds());
         out += "}";
     }
     out += events.empty() ? "]\n}\n" : "\n  ]\n}\n";

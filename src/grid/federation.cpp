@@ -41,7 +41,7 @@ void FederatedGrid::start() {
     // Build + boot + settle every shard concurrently. Shard i's state is a
     // function of spec i alone (the pool guarantees nothing else), so the
     // built world is identical at any thread count.
-    pool_->parallel_for(shards_.size(), [&](std::size_t i) {
+    pool_->parallel_for(shards_.size(), [&](std::size_t i, int) {
         const MemberSpec& spec = specs_[i];
         shards_[i].member = std::make_unique<GridMember>(
             spec.name, spec.kind, spec.nodes, spec.hybrid_policy, spec.cores_per_node,
@@ -60,7 +60,7 @@ void FederatedGrid::start() {
     const std::int64_t e = config_.epoch.ms;
     clock_ = sim::TimePoint{(slowest.ms + e - 1) / e * e};
     pool_->parallel_for(shards_.size(),
-                        [&](std::size_t i) { advance_shard(i, clock_); });
+                        [&](std::size_t i, int) { advance_shard(i, clock_); });
     started_ = true;
     stats_.wall_ms += std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -102,7 +102,7 @@ void FederatedGrid::run(const std::vector<workload::JobSpec>& trace, sim::TimePo
             rr_cursor_ = table.rr_cursor();
         }
         pool_->parallel_for(shards_.size(),
-                            [&](std::size_t i) { advance_shard(i, boundary); });
+                            [&](std::size_t i, int) { advance_shard(i, boundary); });
         clock_ = boundary;
         ++stats_.epochs;
     }

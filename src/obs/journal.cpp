@@ -1,13 +1,13 @@
 #include "obs/journal.hpp"
 
-#include "obs/json.hpp"
+#include "util/json_out.hpp"
 
 namespace hc::obs {
 
 Journal::Record Journal::event(std::string_view kind) {
     if (!enabled_) return Record{nullptr, std::string{}};
     std::string line = "{\"t\": " + std::to_string(clock_ ? clock_() : 0) +
-                       ", \"kind\": " + json_quote(kind);
+                       ", \"kind\": " + util::json_quote(kind);
     return Record{this, std::move(line)};
 }
 
@@ -20,25 +20,25 @@ Journal::Record::~Record() {
 
 Journal::Record& Journal::Record::str(std::string_view key, std::string_view value) {
     if (journal_ != nullptr)
-        line_ += ", " + json_quote(key) + ": " + json_quote(value);
+        line_ += ", " + util::json_quote(key) + ": " + util::json_quote(value);
     return *this;
 }
 
 Journal::Record& Journal::Record::num(std::string_view key, std::int64_t value) {
     if (journal_ != nullptr)
-        line_ += ", " + json_quote(key) + ": " + std::to_string(value);
+        line_ += ", " + util::json_quote(key) + ": " + std::to_string(value);
     return *this;
 }
 
 Journal::Record& Journal::Record::real(std::string_view key, double value) {
     if (journal_ != nullptr)
-        line_ += ", " + json_quote(key) + ": " + json_number(value);
+        line_ += ", " + util::json_quote(key) + ": " + util::json_number(value);
     return *this;
 }
 
 Journal::Record& Journal::Record::flag(std::string_view key, bool value) {
     if (journal_ != nullptr)
-        line_ += ", " + json_quote(key) + ": " + (value ? "true" : "false");
+        line_ += ", " + util::json_quote(key) + ": " + (value ? "true" : "false");
     return *this;
 }
 

@@ -2,8 +2,8 @@
 // do (or not do) X at time T?".
 //
 // Every record is one JSON object per line, always starting with the sim
-// time ("t", seconds) and a "kind" tag, followed by caller-supplied fields
-// in call order. Journalled throughout the stack:
+// time ("t", integer sim milliseconds) and a "kind" tag, followed by
+// caller-supplied fields in call order. Journalled throughout the stack:
 //
 //   detector   — each poll's verdict (stuck?, needed cpus, first stuck job)
 //   decision   — every policy outcome, including *why not* (cooldown

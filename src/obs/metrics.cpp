@@ -1,6 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include "obs/json.hpp"
+#include "util/json_out.hpp"
 
 namespace hc::obs {
 
@@ -76,22 +76,22 @@ std::string MetricsSnapshot::to_json() const {
     std::string out = "{\"schema\": \"hc-metrics/1\", \"counters\": {";
     for (std::size_t i = 0; i < counters.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\n  " + json_quote(counters[i].name) + ": " +
+        out += "\n  " + util::json_quote(counters[i].name) + ": " +
                std::to_string(counters[i].value);
     }
     out += "}, \"gauges\": {";
     for (std::size_t i = 0; i < gauges.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\n  " + json_quote(gauges[i].name) + ": " + json_number(gauges[i].value);
+        out += "\n  " + util::json_quote(gauges[i].name) + ": " + util::json_number(gauges[i].value);
     }
     out += "}, \"histograms\": {";
     for (std::size_t i = 0; i < histograms.size(); ++i) {
         const HistogramValue& h = histograms[i];
         if (i > 0) out += ", ";
-        out += "\n  " + json_quote(h.name) + ": {\"count\": " + std::to_string(h.count) +
-               ", \"mean\": " + json_number(h.mean) + ", \"min\": " + json_number(h.min) +
-               ", \"max\": " + json_number(h.max) + ", \"p50\": " + json_number(h.p50) +
-               ", \"p95\": " + json_number(h.p95) + ", \"p99\": " + json_number(h.p99) + "}";
+        out += "\n  " + util::json_quote(h.name) + ": {\"count\": " + std::to_string(h.count) +
+               ", \"mean\": " + util::json_number(h.mean) + ", \"min\": " + util::json_number(h.min) +
+               ", \"max\": " + util::json_number(h.max) + ", \"p50\": " + util::json_number(h.p50) +
+               ", \"p95\": " + util::json_number(h.p95) + ", \"p99\": " + util::json_number(h.p99) + "}";
     }
     out += "}}\n";
     return out;

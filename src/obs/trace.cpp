@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/json.hpp"
 #include "util/errors.hpp"
+#include "util/json_out.hpp"
 
 namespace hc::obs {
 
@@ -118,10 +118,10 @@ void append_arg(std::string& out, const TraceArg& arg, bool& first) {
     if (arg.key == nullptr) return;
     if (!first) out += ", ";
     first = false;
-    out += json_quote(arg.key);
+    out += util::json_quote(arg.key);
     out += ": ";
     if (arg.str != nullptr)
-        out += json_quote(arg.str);
+        out += util::json_quote(arg.str);
     else
         out += std::to_string(arg.num);
 }
@@ -135,7 +135,7 @@ std::string Tracer::chrome_json() const {
            "\"args\": {\"name\": \"dualboot-oscar\"}}";
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
         out += ",\n{\"ph\": \"M\", \"pid\": 0, \"tid\": " + std::to_string(i) +
-               ", \"name\": \"thread_name\", \"args\": {\"name\": " + json_quote(tracks_[i]) +
+               ", \"name\": \"thread_name\", \"args\": {\"name\": " + util::json_quote(tracks_[i]) +
                "}}";
     }
     // Events in recording (seq) order. The ring stores them rotated once it
@@ -146,7 +146,7 @@ std::string Tracer::chrome_json() const {
     std::sort(ordered.begin(), ordered.end(),
               [](const Record* x, const Record* y) { return x->seq < y->seq; });
     for (const Record* r : ordered) {
-        out += ",\n{\"name\": " + json_quote(r->name);
+        out += ",\n{\"name\": " + util::json_quote(r->name);
         const std::int64_t ts_us = r->begin_ms * 1000;
         if (r->kind == Kind::kComplete) {
             const std::int64_t dur_us = (r->end_ms - r->begin_ms) * 1000;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,14 +15,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One worker's share of the slot space. A worker pops its own deque from
-/// the front; thieves take from the back. The deque is tiny (indices only)
-/// and replicas are milliseconds-heavy, so a plain mutex per deque is
-/// cheaper than a lock-free Chase-Lev structure and trivially TSan-clean.
-struct WorkerDeque {
-    std::mutex m;
-    std::deque<std::size_t> slots;
-};
+/// Workers a sweep of `count` slots runs on: never more than the slots, at
+/// least one.
+int sweep_workers(std::size_t count, int threads) {
+    const int n = resolve_threads(threads);
+    if (count == 0) return 1;
+    return static_cast<std::size_t>(n) > count ? static_cast<int>(count) : n;
+}
 
 }  // namespace
 
@@ -33,136 +31,13 @@ int resolve_threads(int requested) {
     return hw == 0 ? 1 : static_cast<int>(hw < 256 ? hw : 256);
 }
 
-namespace detail {
-
-SweepStats run_pool(std::size_t count, int threads, const ReplicaFn& fn,
-                    const PoolHooks& hooks) {
-    util::require(static_cast<bool>(fn), "sweep::run_pool: null replica function");
-    SweepStats stats;
-    stats.replicas = count;
-    int n = resolve_threads(threads);
-    if (static_cast<std::size_t>(n) > count) n = count == 0 ? 1 : static_cast<int>(count);
-    stats.threads = n;
-    const auto t0 = Clock::now();
-
-    if (n <= 1) {
-        // Serial mode: no pool, no locks — the --threads 1 baseline really
-        // is the pre-sweep serial loop (plus the arena).
-        util::Arena arena;
-        WorkerContext ctx{0, &arena};
-        bool opened = false;
-        try {
-            for (std::size_t slot = 0; slot < count; ++slot) {
-                if (!opened && hooks.open) {
-                    hooks.open(ctx);
-                    opened = true;
-                }
-                fn(slot, ctx);
-                if (hooks.reset_arena_between) arena.reset();
-            }
-        } catch (...) {
-            if (opened && hooks.close) hooks.close(ctx);
-            throw;
-        }
-        if ((opened || !hooks.open) && hooks.close) hooks.close(ctx);
-    } else {
-        std::vector<WorkerDeque> deques(static_cast<std::size_t>(n));
-        // Deal contiguous runs: worker w starts on the slots nearest its
-        // rank, so with balanced replicas nobody steals at all.
-        for (int w = 0; w < n; ++w) {
-            const std::size_t lo = count * static_cast<std::size_t>(w) / static_cast<std::size_t>(n);
-            const std::size_t hi =
-                count * (static_cast<std::size_t>(w) + 1) / static_cast<std::size_t>(n);
-            for (std::size_t slot = lo; slot < hi; ++slot)
-                deques[static_cast<std::size_t>(w)].slots.push_back(slot);
-        }
-        std::atomic<std::uint64_t> steals{0};
-        std::atomic<bool> failed{false};
-        std::mutex error_mutex;
-        std::exception_ptr first_error;
-
-        auto worker = [&](int me) {
-            util::Arena arena;
-            WorkerContext ctx{me, &arena};
-            bool opened = false;
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed)) break;
-                std::size_t slot = 0;
-                bool found = false;
-                bool stolen = false;
-                {
-                    WorkerDeque& mine = deques[static_cast<std::size_t>(me)];
-                    std::lock_guard<std::mutex> lock(mine.m);
-                    if (!mine.slots.empty()) {
-                        slot = mine.slots.front();
-                        mine.slots.pop_front();
-                        found = true;
-                    }
-                }
-                for (int step = 1; !found && step < n; ++step) {
-                    WorkerDeque& victim =
-                        deques[static_cast<std::size_t>((me + step) % n)];
-                    std::lock_guard<std::mutex> lock(victim.m);
-                    if (!victim.slots.empty()) {
-                        slot = victim.slots.back();
-                        victim.slots.pop_back();
-                        found = true;
-                        stolen = true;
-                    }
-                }
-                if (!found) break;
-                if (stolen) steals.fetch_add(1, std::memory_order_relaxed);
-                try {
-                    // Lazy open: a worker whose whole deque was stolen never
-                    // pays for a prefix it will not use.
-                    if (!opened && hooks.open) {
-                        hooks.open(ctx);
-                        opened = true;
-                    }
-                    fn(slot, ctx);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (first_error == nullptr) first_error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-                if (hooks.reset_arena_between) arena.reset();
-            }
-            if ((opened || !hooks.open) && hooks.close) {
-                try {
-                    hooks.close(ctx);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (first_error == nullptr) first_error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(n) - 1);
-        for (int w = 1; w < n; ++w) pool.emplace_back(worker, w);
-        worker(0);  // the caller's thread is worker 0
-        for (std::thread& t : pool) t.join();
-        stats.steals = steals.load(std::memory_order_relaxed);
-        if (first_error != nullptr) std::rethrow_exception(first_error);
-    }
-
-    const double wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    stats.wall_ms = wall_s * 1e3;
-    stats.replicas_per_sec =
-        wall_s > 0 ? static_cast<double>(count) / wall_s : 0.0;
-    return stats;
-}
-
-}  // namespace detail
-
 struct TaskPool::Shared {
     std::mutex m;
     std::condition_variable start;
     std::condition_variable done;
     std::uint64_t round = 0;           ///< bumped per parallel_for; workers wake on change
     std::size_t count = 0;             ///< indices in the current round
-    const std::function<void(std::size_t)>* fn = nullptr;
+    const std::function<void(std::size_t, int)>* fn = nullptr;
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> failed{false};
     int active = 0;                    ///< helper workers still inside the round
@@ -171,10 +46,7 @@ struct TaskPool::Shared {
 };
 
 TaskPool::TaskPool(int threads) : threads_(resolve_threads(threads)) {
-    if (threads_ <= 1) return;
-    shared_ = std::make_unique<Shared>();
-    workers_.reserve(static_cast<std::size_t>(threads_) - 1);
-    for (int w = 1; w < threads_; ++w) workers_.emplace_back([this] { worker_loop(); });
+    if (threads_ > 1) shared_ = std::make_unique<Shared>();
 }
 
 TaskPool::~TaskPool() {
@@ -188,16 +60,26 @@ TaskPool::~TaskPool() {
     }
 }
 
+/// Helpers are spawned by the first round, after it is posted: a new thread
+/// starts on an idle core, while a parked one woken by the caller tends to
+/// start on the caller's core and wait to be migrated, which delays the
+/// round (in a forked sweep, every prefix runs in it). noexcept: the posted round counts every helper, so one
+/// that cannot be started ends the program.
+void TaskPool::spawn_workers() noexcept {
+    workers_.reserve(static_cast<std::size_t>(threads_) - 1);
+    for (int w = 1; w < threads_; ++w) workers_.emplace_back([this, w] { worker_loop(w); });
+}
+
 /// Claim-and-run loop shared by the caller and the parked workers: indices
 /// come off one atomic cursor; a thrown exception flips `failed`, which
 /// abandons everything still unclaimed.
-void TaskPool::drain_round(Shared& s) {
+void TaskPool::drain_round(Shared& s, int worker) {
     for (;;) {
         if (s.failed.load(std::memory_order_relaxed)) return;
         const std::size_t index = s.cursor.fetch_add(1, std::memory_order_relaxed);
         if (index >= s.count) return;
         try {
-            (*s.fn)(index);
+            (*s.fn)(index, worker);
         } catch (...) {
             std::lock_guard<std::mutex> lock(s.m);
             if (s.first_error == nullptr) s.first_error = std::current_exception();
@@ -206,7 +88,7 @@ void TaskPool::drain_round(Shared& s) {
     }
 }
 
-void TaskPool::worker_loop() {
+void TaskPool::worker_loop(int worker) {
     Shared& s = *shared_;
     std::uint64_t seen = 0;
     for (;;) {
@@ -216,7 +98,7 @@ void TaskPool::worker_loop() {
             if (s.stop) return;
             seen = s.round;
         }
-        drain_round(s);
+        drain_round(s, worker);
         {
             std::lock_guard<std::mutex> lock(s.m);
             if (--s.active == 0) s.done.notify_all();
@@ -224,12 +106,13 @@ void TaskPool::worker_loop() {
     }
 }
 
-void TaskPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
+void TaskPool::parallel_for(std::size_t count,
+                            const std::function<void(std::size_t, int)>& fn) {
     util::require(static_cast<bool>(fn), "TaskPool::parallel_for: null function");
     ++rounds_;
     if (shared_ == nullptr) {
         // Serial pool: plain inline loop, no synchronisation at all.
-        for (std::size_t i = 0; i < count; ++i) fn(i);
+        for (std::size_t i = 0; i < count; ++i) fn(i, 0);
         return;
     }
     Shared& s = *shared_;
@@ -243,8 +126,12 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
         s.active = threads_ - 1;
         ++s.round;
     }
-    s.start.notify_all();
-    drain_round(s);  // the caller's thread participates
+    if (workers_.empty()) {
+        spawn_workers();
+    } else {
+        s.start.notify_all();
+    }
+    drain_round(s, 0);  // the caller's thread participates as worker 0
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(s.m);
@@ -256,8 +143,35 @@ void TaskPool::parallel_for(std::size_t count, const std::function<void(std::siz
     if (error != nullptr) std::rethrow_exception(error);
 }
 
+namespace detail {
+
+SweepPool::SweepPool(std::size_t slots, int threads)
+    : replicas(slots),
+      t0(Clock::now()),
+      arenas(static_cast<std::size_t>(sweep_workers(slots, threads))),
+      pool(static_cast<int>(arenas.size())) {}
+
+SweepStats SweepPool::stats() const {
+    SweepStats stats;
+    stats.replicas = replicas;
+    stats.threads = pool.threads();
+    const double wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    stats.wall_ms = wall_s * 1e3;
+    stats.replicas_per_sec = wall_s > 0 ? static_cast<double>(replicas) / wall_s : 0.0;
+    return stats;
+}
+
+}  // namespace detail
+
 SweepStats run_indexed(std::size_t count, int threads, const ReplicaFn& fn) {
-    return detail::run_pool(count, threads, fn, detail::PoolHooks{});
+    util::require(static_cast<bool>(fn), "sweep::run_indexed: null replica function");
+    detail::SweepPool sp(count, threads);
+    sp.pool.parallel_for(count, [&](std::size_t slot, int worker) {
+        WorkerContext ctx = sp.context(worker);
+        fn(slot, ctx);
+        ctx.arena->reset();
+    });
+    return sp.stats();
 }
 
 ScenarioReplica make_replica(core::ScenarioConfig config,

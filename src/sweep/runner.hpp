@@ -7,14 +7,15 @@
 // embarrassingly parallel, and a full E5 robustness campaign or a nightly
 // fuzz run is bounded by cores, not by serial wall-clock.
 //
-// Execution model: a work-stealing thread pool. Slots [0, N) are dealt to
-// workers in contiguous runs; a worker drains its own deque from the front
-// and, when empty, steals from the BACK of a victim's deque (stealing the
-// work farthest from what the victim touches next, classic Cilk-style).
-// Each worker owns a `util::Arena` that replica-scoped allocations (the
-// engine calendar, see sim/engine.hpp) ride on; the arena is reset between
-// replicas, so consecutive runs on a worker recycle the same warm pages and
-// pay zero malloc/free on the arena'd paths.
+// Execution model: one persistent barrier pool, `TaskPool`. Workers park
+// on a condition variable between rounds; a round's indices are claimed one
+// at a time from a shared atomic cursor, so a worker that finishes early
+// simply claims the next slot. The caller's thread is worker 0. A sweep
+// builds a pool of min(threads, replicas) workers, each with its own
+// `util::Arena` that replica-scoped allocations (the engine calendar, see
+// sim/engine.hpp) ride on; the arena is reset after every replica, so
+// consecutive runs on a worker recycle the same warm pages and pay zero
+// malloc/free on the arena'd paths.
 //
 // Determinism contract (pinned by tests/test_sweep.cpp):
 //   * replica i's behaviour depends only on its own config — seeds are
@@ -28,6 +29,7 @@
 //     other count. Thread count is a wall-clock knob, nothing else.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -55,7 +57,9 @@ struct WorkerContext {
 struct SweepStats {
     std::size_t replicas = 0;
     int threads = 1;
-    std::uint64_t steals = 0;  ///< replicas run off another worker's deque
+    /// Always 0: workers claim slots from one shared cursor and never steal.
+    /// Kept only for readers of the perfbench `sweep.steals` metric.
+    std::uint64_t steals = 0;
     double wall_ms = 0;
     double replicas_per_sec = 0;
 };
@@ -69,41 +73,22 @@ using ReplicaFn = std::function<void(std::size_t slot, WorkerContext&)>;
 
 /// Run `fn(slot, ctx)` for every slot in [0, count) across `threads`
 /// workers. Blocks until all replicas finish. The first exception thrown by
-/// a replica is rethrown here (remaining queued replicas are abandoned).
+/// a replica is rethrown here (remaining unclaimed replicas are abandoned).
 SweepStats run_indexed(std::size_t count, int threads, const ReplicaFn& fn);
 
-namespace detail {
-
-/// Per-worker lifecycle hooks for run_pool. `open` runs lazily on a worker's
-/// thread just before its first replica (a worker that never claims a slot
-/// never pays it); `close` runs before the worker's arena is destroyed, on
-/// every exit path. With `reset_arena_between` false the worker's arena
-/// carries state across replicas (the forked path's snapshot image lives
-/// there) — open/fn/close must manage lifetimes themselves.
-struct PoolHooks {
-    std::function<void(WorkerContext&)> open;
-    std::function<void(WorkerContext&)> close;
-    bool reset_arena_between = true;
-};
-
-SweepStats run_pool(std::size_t count, int threads, const ReplicaFn& fn,
-                    const PoolHooks& hooks);
-
-}  // namespace detail
-
-/// A persistent barrier pool for repeated small fan-outs.
+/// A persistent barrier pool: the one pool every parallel path runs on.
 ///
-/// run_pool spawns and joins its threads per call, which is the right shape
-/// for one sweep of milliseconds-heavy replicas but ruinous for a caller
-/// that fans out every simulated epoch (FederatedGrid runs thousands of
-/// epochs; thread creation would dwarf the shard work). TaskPool keeps its
-/// workers parked on a condition variable between rounds: parallel_for
-/// wakes them, indices are claimed from a shared atomic cursor, and the
-/// call returns once every index has run (a full barrier).
+/// The first parallel_for spawns the workers; between rounds they stay
+/// parked on a condition variable. parallel_for wakes them, indices are
+/// claimed from a shared atomic cursor, and the call returns once every
+/// index has run (a full barrier). That suits both a single sweep of
+/// milliseconds-heavy replicas and a caller that fans out every simulated
+/// epoch (FederatedGrid runs thousands of epochs, so threads are spawned
+/// once, not per round).
 ///
-/// Determinism contract: parallel_for guarantees nothing about WHICH thread
+/// Determinism contract: parallel_for guarantees nothing about WHICH worker
 /// runs an index or in what order — callers must make fn(i) depend only on
-/// i (the FederatedGrid shards share nothing), exactly like run_indexed.
+/// i (per-worker state such as an arena may be reused, never observed).
 /// With threads <= 1 no threads are ever created and fn runs inline, so the
 /// --threads 1 baseline is the plain serial loop.
 class TaskPool {
@@ -118,16 +103,20 @@ public:
     /// Rounds executed so far (parallel_for calls).
     [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
-    /// Run fn(index) for every index in [0, count); blocks until all have
-    /// returned. The caller's thread participates. The first exception
-    /// thrown is rethrown here after the barrier (remaining unclaimed
-    /// indices are abandoned on failure).
-    void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+    /// Run fn(index, worker) for every index in [0, count); blocks until
+    /// all have returned. `worker` is the claiming worker's index in
+    /// [0, threads()): 0 is the caller's thread, 1..threads()-1 the parked
+    /// helpers. The first exception thrown is rethrown here after the
+    /// barrier (remaining unclaimed indices are abandoned on failure); the
+    /// pool stays usable for further rounds.
+    void parallel_for(std::size_t count,
+                      const std::function<void(std::size_t index, int worker)>& fn);
 
 private:
     struct Shared;
-    static void drain_round(Shared& s);
-    void worker_loop();
+    void spawn_workers() noexcept;
+    static void drain_round(Shared& s, int worker);
+    void worker_loop(int worker);
 
     int threads_ = 1;
     std::uint64_t rounds_ = 0;
@@ -144,22 +133,48 @@ struct ForkStats {
     double suffix_sim_s = 0;        ///< sim-time re-run per suffix
 };
 
+namespace detail {
+
+/// The pool one sweep runs on: min(resolve_threads(threads), slots) workers
+/// (at least one), one arena per worker, and the sweep's wall clock, which
+/// starts at construction.
+struct SweepPool {
+    SweepPool(std::size_t slots, int threads);
+
+    [[nodiscard]] WorkerContext context(int worker) {
+        return {worker, &arenas[static_cast<std::size_t>(worker)]};
+    }
+    /// The envelope of the sweep so far: replicas, workers, wall time.
+    [[nodiscard]] SweepStats stats() const;
+
+    std::size_t replicas = 0;
+    std::chrono::steady_clock::time_point t0;
+    std::vector<util::Arena> arenas;
+    TaskPool pool;  ///< after the arenas its workers use: joined first
+};
+
+}  // namespace detail
+
 /// Copy-on-write fan-out: run a shared prefix ONCE per worker, then deal N
 /// divergent suffixes across the pool, each starting from a restored
 /// snapshot of the prefix instead of a cold replay.
 ///
 /// `prefix(ctx)` builds a world on the worker's arena and drives it to the
-/// divergence point, returning something unique_ptr-like with
-/// `->snapshot()` / `->restore(snap)` (core::ScenarioWorld is the house
-/// type). `suffix(world, slot)` applies slot's divergence, drives to the
-/// end, and returns that slot's result. Determinism contract (pinned by the
-/// forked-vs-cold goldens): `prefix` must not depend on the worker id —
-/// every worker builds the same world — and `suffix` only on its slot, so
-/// results are byte-identical at any thread count, steals included.
+/// divergence point — lazily, on the worker's first claimed slot, so a
+/// worker that claims nothing never runs it — returning something
+/// unique_ptr-like with `->snapshot()` / `->restore(snap)`
+/// (core::ScenarioWorld is the house type). `suffix(world, slot)` applies
+/// slot's divergence, drives to the end, and returns that slot's result.
+/// Determinism contract (pinned by the forked-vs-cold goldens): `prefix`
+/// must not depend on the worker id — every worker builds the same world —
+/// and `suffix` only on its slot, so results are byte-identical at any
+/// thread count.
 ///
 /// Worker lifetime: the snapshot image and the world both ride the worker
 /// arena, which is NOT reset between suffixes (restore() rewinds to the
 /// snapshot watermark instead, reclaiming each suffix's garbage in O(1)).
+/// A second round tears the worlds down in parallel; if a round throws,
+/// scope exit destroys them instead. Either way they go before the arenas.
 template <class PrefixFn, class SuffixFn>
 auto run_forked(std::size_t count, int threads, PrefixFn&& prefix, SuffixFn&& suffix,
                 ForkStats* fork_stats = nullptr, SweepStats* stats = nullptr) {
@@ -168,53 +183,44 @@ auto run_forked(std::size_t count, int threads, PrefixFn&& prefix, SuffixFn&& su
     using Snapshot = decltype(std::declval<World&>().snapshot());
     using Result = decltype(suffix(std::declval<World&>(), std::size_t{0}));
 
-    int n = resolve_threads(threads);
-    if (static_cast<std::size_t>(n) > count) n = count == 0 ? 1 : static_cast<int>(count);
-
+    detail::SweepPool sp(count, threads);
     struct Session {
         WorldPtr world{};
         std::unique_ptr<Snapshot> snap;
         std::uint64_t forks = 0;
         std::size_t snapshot_bytes = 0;
     };
-    std::vector<Session> sessions(static_cast<std::size_t>(n));
+    // Declared after `sp`: the worlds die before the arenas they live on.
+    std::vector<Session> sessions(sp.arenas.size());
     std::vector<Result> out(count);
-
-    detail::PoolHooks hooks;
-    hooks.reset_arena_between = false;
-    hooks.open = [&](WorkerContext& ctx) {
-        Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-        s.world = prefix(ctx);
-        // The image is allocated below the arena watermark recorded inside
-        // snapshot(), so every later restore() rewind preserves it.
-        s.snap = std::make_unique<Snapshot>(s.world->snapshot());
-        s.snapshot_bytes = s.snap->bytes();
-    };
-    hooks.close = [&](WorkerContext& ctx) {
-        // Destroy world + snapshot before the worker arena goes away.
-        Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-        s.snap.reset();
-        s.world = WorldPtr{};
-    };
-    const SweepStats sw = detail::run_pool(
-        count, n,
-        [&](std::size_t slot, WorkerContext& ctx) {
-            Session& s = sessions[static_cast<std::size_t>(ctx.worker)];
-            s.world->restore(*s.snap);
-            ++s.forks;
-            out[slot] = suffix(*s.world, slot);
-        },
-        hooks);
-    if (stats != nullptr) *stats = sw;
-    if (fork_stats != nullptr) {
-        ForkStats fs;
-        for (const Session& s : sessions) {
-            if (s.snapshot_bytes > 0 || s.forks > 0) ++fs.prefixes;
-            fs.forks += s.forks;
-            if (s.snapshot_bytes > fs.snapshot_bytes) fs.snapshot_bytes = s.snapshot_bytes;
+    sp.pool.parallel_for(count, [&](std::size_t slot, int worker) {
+        Session& s = sessions[static_cast<std::size_t>(worker)];
+        if (s.snap == nullptr) {
+            WorkerContext ctx = sp.context(worker);
+            s.world = prefix(ctx);
+            // The image is allocated below the arena watermark recorded
+            // inside snapshot(), so every later restore() rewind preserves it.
+            s.snap = std::make_unique<Snapshot>(s.world->snapshot());
+            s.snapshot_bytes = s.snap->bytes();
         }
-        *fork_stats = fs;
+        s.world->restore(*s.snap);
+        ++s.forks;
+        out[slot] = suffix(*s.world, slot);
+    });
+    ForkStats fs;
+    for (const Session& s : sessions) {
+        if (s.snap != nullptr) ++fs.prefixes;
+        fs.forks += s.forks;
+        if (s.snapshot_bytes > fs.snapshot_bytes) fs.snapshot_bytes = s.snapshot_bytes;
     }
+    // Each world is a whole simulated cluster: tear them down as one more
+    // round, in parallel, rather than one after another on the caller.
+    sp.pool.parallel_for(sessions.size(), [&](std::size_t w, int) {
+        sessions[w].snap.reset();
+        sessions[w].world = WorldPtr{};
+    });
+    if (stats != nullptr) *stats = sp.stats();
+    if (fork_stats != nullptr) *fork_stats = fs;
     return out;
 }
 

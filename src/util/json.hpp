@@ -1,8 +1,8 @@
 // Minimal JSON *reader*, shared by every input-parsing layer (fault plans,
-// sweep specs). The emitting counterpart lives in obs/json.hpp.
+// sweep specs). The emitting counterpart lives in util/json_out.hpp.
 //
 // Scope is exactly what our own emitters produce: objects, arrays, strings
-// (with the escapes obs/json.hpp writes), numbers, booleans, null. No
+// (with the escapes util/json_out.hpp writes), numbers, booleans, null. No
 // surrogate-pair \u decoding — all our documents are ASCII by construction.
 // Errors carry the 1-based line number of the offending character.
 #pragma once

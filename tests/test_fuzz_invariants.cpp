@@ -4,8 +4,9 @@
 // The replica and its invariants live in fuzz_harness.hpp; this file owns
 // the sweep driver and the fuzzer's own control experiments.
 //
-// Execution: seeds fan out across the hc::sweep work-stealing pool
-// (HC_FUZZ_THREADS overrides the worker count; default one per core).
+// Execution: seeds fan out across the hc::sweep thread pool, whose workers
+// claim slots from one atomic cursor (HC_FUZZ_THREADS overrides the worker
+// count; default one per core).
 // Outcomes land slot-indexed and are judged in seed order on this thread,
 // so failure reports and repro artifacts are identical at any thread count.
 //

@@ -12,9 +12,9 @@
 
 #include "cluster/cluster.hpp"
 #include "core/scenario.hpp"
-#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
+#include "util/json_out.hpp"
 
 namespace hc::obs {
 namespace {
@@ -229,12 +229,12 @@ void expect_valid_chrome_trace(const std::string& text) {
 // ---- JSON string helpers ---------------------------------------------------
 
 TEST(ObsJson, QuoteEscapesFramingAndControlCharacters) {
-    EXPECT_EQ(json_quote("plain"), "\"plain\"");
-    EXPECT_EQ(json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-    EXPECT_EQ(json_quote("tab\there"), "\"tab\\there\"");
-    EXPECT_EQ(json_quote(std::string("nul\x01") + "end"), "\"nul\\u0001end\"");
+    EXPECT_EQ(util::json_quote("plain"), "\"plain\"");
+    EXPECT_EQ(util::json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    EXPECT_EQ(util::json_quote("tab\there"), "\"tab\\there\"");
+    EXPECT_EQ(util::json_quote(std::string("nul\x01") + "end"), "\"nul\\u0001end\"");
     // Everything json_quote emits must round-trip through a JSON parser.
-    const auto parsed = parse_json(json_quote("x\n\"\\\t\x02y"));
+    const auto parsed = parse_json(util::json_quote("x\n\"\\\t\x02y"));
     ASSERT_NE(parsed, nullptr);
     EXPECT_EQ(parsed->kind, JsonValue::Kind::kString);
 }

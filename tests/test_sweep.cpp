@@ -6,13 +6,15 @@
 // count is a wall-clock knob, nothing else. The remaining tests pin the
 // pool mechanics the guarantee rests on: slot-indexed results, threads
 // clamped to replicas, arenas reset between replicas, first-exception
-// propagation.
+// propagation, TaskPool worker ids, and one prefix per forked session.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,6 +81,152 @@ TEST(SweepRunner, FirstExceptionPropagatesToCaller) {
     // The pool is not poisoned: a subsequent sweep on fresh workers is fine.
     const SweepStats stats = run_indexed(8, 4, [](std::size_t, WorkerContext&) {});
     EXPECT_EQ(stats.replicas, 8u);
+}
+
+TEST(TaskPool, WorkerIdsInRangeAndCallerIsWorkerZero) {
+    TaskPool pool(4);
+    ASSERT_EQ(pool.threads(), 4);
+    constexpr std::size_t kCount = 2000;
+    std::vector<int> worker_of(kCount, -1);
+    std::vector<std::thread::id> thread_of(kCount);
+    pool.parallel_for(kCount, [&](std::size_t i, int worker) {
+        worker_of[i] = worker;
+        thread_of[i] = std::this_thread::get_id();
+    });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::map<int, std::thread::id> thread_of_worker;
+    for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_GE(worker_of[i], 0) << "index " << i;
+        EXPECT_LT(worker_of[i], 4) << "index " << i;
+        EXPECT_EQ(worker_of[i] == 0, thread_of[i] == caller) << "index " << i;
+        // A worker id names one thread for the pool's whole life.
+        const auto [it, inserted] = thread_of_worker.emplace(worker_of[i], thread_of[i]);
+        if (!inserted) {
+            EXPECT_EQ(it->second, thread_of[i]) << "worker " << worker_of[i];
+        }
+    }
+}
+
+TEST(TaskPool, SerialPoolRunsInlineOnTheCaller) {
+    TaskPool pool(1);
+    ASSERT_EQ(pool.threads(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    pool.parallel_for(50, [&](std::size_t i, int worker) {
+        EXPECT_EQ(worker, 0);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), 50u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(TaskPool, EmptyRoundReturns) {
+    for (const int threads : {1, 4}) {
+        TaskPool pool(threads);
+        int calls = 0;
+        pool.parallel_for(0, [&](std::size_t, int) { ++calls; });
+        EXPECT_EQ(calls, 0) << threads << " thread(s)";
+    }
+}
+
+TEST(TaskPool, RunsFurtherRoundsAfterAnException) {
+    for (const int threads : {1, 4}) {
+        TaskPool pool(threads);
+        EXPECT_THROW(pool.parallel_for(64,
+                                       [](std::size_t i, int) {
+                                           if (i == 17) throw std::runtime_error("index 17 boom");
+                                       }),
+                     std::runtime_error);
+        std::vector<std::atomic<int>> hits(100);
+        for (auto& h : hits) h.store(0);
+        pool.parallel_for(hits.size(), [&](std::size_t i, int) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << threads << " thread(s), index " << i;
+    }
+}
+
+TEST(TaskPool, RoundsCountsCalls) {
+    TaskPool pool(3);
+    EXPECT_EQ(pool.rounds(), 0u);
+    pool.parallel_for(10, [](std::size_t, int) {});
+    pool.parallel_for(0, [](std::size_t, int) {});
+    pool.parallel_for(5, [](std::size_t, int) {});
+    EXPECT_EQ(pool.rounds(), 3u);
+}
+
+// A minimal forkable world: its state is one int, and it owns a cell on the
+// worker arena that its destructor writes, so destroying the arena before
+// the world is a use-after-free under ASan.
+struct ToyWorld {
+    struct Snapshot {
+        int value = 0;
+        [[nodiscard]] std::size_t bytes() const { return sizeof(value); }
+    };
+    explicit ToyWorld(util::Arena& arena) : cell(arena.create<int>(0)) {}
+    ~ToyWorld() { *cell = -1; }
+    ToyWorld(const ToyWorld&) = delete;
+    ToyWorld& operator=(const ToyWorld&) = delete;
+
+    Snapshot snapshot() { return Snapshot{value}; }
+    void restore(const Snapshot& snap) { value = snap.value; }
+
+    int* cell;
+    int value = 0;
+};
+
+TEST(SweepForked, EachSessionRunsItsPrefixOnce) {
+    constexpr int kThreads = 4;
+    constexpr std::size_t kSlots = 64;
+    // Each element is written only by the worker it counts for.
+    std::vector<int> prefix_runs(kThreads, 0);
+    ForkStats fs;
+    SweepStats ss;
+    const auto out = run_forked(
+        kSlots, kThreads,
+        [&](WorkerContext& ctx) {
+            EXPECT_GE(ctx.worker, 0);
+            EXPECT_LT(ctx.worker, kThreads);
+            ++prefix_runs[static_cast<std::size_t>(ctx.worker)];
+            auto world = std::make_unique<ToyWorld>(*ctx.arena);
+            world->value = 7;
+            return world;
+        },
+        [](ToyWorld& world, std::size_t slot) {
+            const int seen = world.value;  // the restored prefix state
+            world.value += 1000;           // dirty it; the next restore undoes this
+            return seen * 1000 + static_cast<int>(slot);
+        },
+        &fs, &ss);
+    ASSERT_EQ(out.size(), kSlots);
+    for (std::size_t slot = 0; slot < kSlots; ++slot)
+        EXPECT_EQ(out[slot], 7000 + static_cast<int>(slot)) << "slot " << slot;
+    int opened = 0;
+    for (const int runs : prefix_runs) {
+        EXPECT_LE(runs, 1);
+        opened += runs;
+    }
+    EXPECT_EQ(opened, fs.prefixes);
+    EXPECT_GE(fs.prefixes, 1);
+    EXPECT_LE(fs.prefixes, kThreads);
+    EXPECT_EQ(fs.forks, kSlots);
+    EXPECT_EQ(fs.snapshot_bytes, sizeof(int));
+    EXPECT_EQ(ss.threads, kThreads);
+    EXPECT_EQ(ss.replicas, kSlots);
+}
+
+TEST(SweepForked, SuffixExceptionPropagatesAndSessionsDieBeforeArenas) {
+    for (const int threads : {1, 4}) {
+        EXPECT_THROW(run_forked(
+                         32, threads,
+                         [](WorkerContext& ctx) { return std::make_unique<ToyWorld>(*ctx.arena); },
+                         [](ToyWorld&, std::size_t slot) {
+                             if (slot == 13) throw std::runtime_error("suffix 13 boom");
+                             return 0;
+                         }),
+                     std::runtime_error)
+            << threads << " thread(s)";
+    }
 }
 
 // ---- determinism golden tests ----------------------------------------------
@@ -176,8 +324,7 @@ TEST(SweepDeterminism, RunScenariosResultsMatchAcrossThreads) {
 
 // The warm-start guarantee: a campaign run through run_forked_scenarios()
 // (shared prefix, snapshot, fan-out) renders byte-identically to cold runs
-// that apply the same divergence at the same sim time — at any thread count,
-// steals included.
+// that apply the same divergence at the same sim time — at any thread count.
 
 std::string campaign_record_bytes(const std::vector<core::ScenarioResult>& results) {
     bench::JsonReport report("fork-golden");

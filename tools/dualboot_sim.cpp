@@ -507,10 +507,9 @@ int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::str
         }
         std::printf("%s", table.render().c_str());
         std::printf("pool      : %zu replica(s) on %d thread(s), %.1f ms wall "
-                    "(%.1f replicas/s, %llu steal(s))\n",
+                    "(%.1f replicas/s)\n",
                     out.stats.replicas, out.stats.threads, out.stats.wall_ms,
-                    out.stats.replicas_per_sec,
-                    static_cast<unsigned long long>(out.stats.steals));
+                    out.stats.replicas_per_sec);
         std::printf("fork      : %d prefix(es), %llu fork(s), snapshot %zu B, "
                     "prefix %.0f sim-s / suffix %.0f sim-s\n",
                     fs.prefixes, static_cast<unsigned long long>(fs.forks),
@@ -574,10 +573,9 @@ int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::str
                 util::format_duration(
                     static_cast<std::int64_t>(out.mean_wait_hist.percentile(0.95))).c_str());
     std::printf("pool      : %zu replica(s) on %d thread(s), %.1f ms wall "
-                "(%.1f replicas/s, %llu steal(s))\n",
+                "(%.1f replicas/s)\n",
                 out.stats.replicas, out.stats.threads, out.stats.wall_ms,
-                out.stats.replicas_per_sec,
-                static_cast<unsigned long long>(out.stats.steals));
+                out.stats.replicas_per_sec);
     return 0;
 }
 
