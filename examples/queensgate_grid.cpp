@@ -1,14 +1,14 @@
 // The Queensgate Grid: Eridani among its campus siblings.
 //
 // Builds the three-member QGG — a dedicated Linux cluster, a dedicated
-// Windows cluster, and the dualboot-oscar hybrid — routes a render-deadline
-// afternoon through the gateway, and shows where the overflow lands and how
-// the hybrid reshapes itself to soak it up.
+// Windows cluster, and the dualboot-oscar hybrid — as a FederatedGrid on one
+// thread, routes a render-deadline afternoon through it, and shows where the
+// overflow lands and how the hybrid reshapes itself to soak it up.
 //
 // Build & run:  ./build/examples/queensgate_grid
 #include <cstdio>
 
-#include "grid/gateway.hpp"
+#include "grid/federation.hpp"
 #include "util/time_format.hpp"
 #include "workload/catalog.hpp"
 #include "workload/timeline.hpp"
@@ -16,18 +16,15 @@
 using namespace hc;
 
 int main() {
-    sim::Engine engine;
-    grid::GridGateway gateway(engine, grid::RoutingRule::kLeastPressure);
-    gateway.add_member(std::make_unique<grid::GridMember>(
-        engine, "tauceti", grid::GridMember::Kind::kDedicatedLinux, 16));
-    gateway.add_member(std::make_unique<grid::GridMember>(
-        engine, "vega", grid::GridMember::Kind::kDedicatedWindows, 8));
-    auto& eridani = gateway.add_member(std::make_unique<grid::GridMember>(
-        engine, "eridani", grid::GridMember::Kind::kHybrid, 16));
-    workload::OwnershipTimeline eridani_timeline(eridani.cluster().cluster());
-    gateway.start();
+    grid::FederatedGrid fed(
+        {.rule = grid::RoutingRule::kLeastPressure, .epoch = sim::minutes(10), .threads = 1});
+    fed.add_member({"tauceti", grid::GridMember::Kind::kDedicatedLinux, 16});
+    fed.add_member({"vega", grid::GridMember::Kind::kDedicatedWindows, 8});
+    fed.add_member({"eridani", grid::GridMember::Kind::kHybrid, 16});
+    fed.start();  // builds and boots the members; the Gantt below starts after boot
+    workload::OwnershipTimeline eridani_timeline(fed.member(2).cluster().cluster());
     std::printf("Queensgate Grid online: %zu members, least-pressure routing.\n\n",
-                gateway.member_count());
+                fed.member_count());
 
     // An afternoon of steady Linux MD plus a 3ds Max render deadline: 20
     // Backburner jobs land within an hour — more than vega can chew.
@@ -41,18 +38,16 @@ int main() {
                                  sim::hours(1));
     trace.insert(trace.end(), surge.begin(), surge.end());
     workload::sort_trace(trace);
-    gateway.replay(trace);
-
-    engine.run_until(sim::TimePoint{} + sim::hours(16));
+    fed.run(trace, sim::TimePoint{} + sim::hours(16));
 
     std::printf("routing ledger:\n");
-    for (std::size_t i = 0; i < gateway.member_count(); ++i) {
-        auto& member = gateway.member(i);
+    for (std::size_t i = 0; i < fed.member_count(); ++i) {
+        auto& member = fed.member(i);
         std::printf("  %-8s (%-22s) received %3zu jobs\n", member.name().c_str(),
                     grid::grid_member_kind_name(member.kind()), member.jobs_received());
     }
 
-    const auto summary = gateway.grid_summary(sim::hours(16).seconds());
+    const auto summary = fed.report(sim::hours(16).seconds()).total;
     std::printf("\ngrid summary: %zu/%zu jobs, mean wait %s (Windows %s), util %.1f%%\n",
                 summary.completed, summary.submitted,
                 util::format_duration(static_cast<std::int64_t>(summary.mean_wait_s)).c_str(),

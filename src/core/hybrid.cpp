@@ -27,6 +27,15 @@ const char* policy_kind_name(PolicyKind p) {
     return "?";
 }
 
+util::Result<PolicyKind> parse_policy_kind(const std::string& name) {
+    for (const PolicyKind p : {PolicyKind::kFcfs, PolicyKind::kThreshold, PolicyKind::kFairShare,
+                               PolicyKind::kPredictive, PolicyKind::kNever, PolicyKind::kCalendar,
+                               PolicyKind::kBurstAware}) {
+        if (name == policy_kind_name(p)) return p;
+    }
+    return util::Error{"unknown policy " + name};
+}
+
 HybridCluster::HybridCluster(sim::Engine& engine, HybridConfig config)
     : engine_(engine),
       config_(std::move(config)),

@@ -46,6 +46,12 @@ enum class PolicyKind {
 
 [[nodiscard]] const char* policy_kind_name(PolicyKind p);
 
+/// Inverse of policy_kind_name for the policies a spec or flag may name:
+/// "fcfs", "threshold", "fair-share", "predictive", "never", "calendar",
+/// "burst-aware". "mono-stable" is refused: that policy belongs to the
+/// kMonoStable scenario, which specs select with scenario "mono".
+[[nodiscard]] util::Result<PolicyKind> parse_policy_kind(const std::string& name);
+
 struct HybridConfig {
     cluster::ClusterConfig cluster;
     deploy::MiddlewareVersion version = deploy::MiddlewareVersion::kV2;

@@ -1,5 +1,7 @@
 #include "core/scenario.hpp"
 
+#include <limits>
+
 namespace hc::core {
 
 const char* scenario_kind_name(ScenarioKind k) {
@@ -10,6 +12,62 @@ const char* scenario_kind_name(ScenarioKind k) {
         case ScenarioKind::kOracle: return "oracle (instant switch)";
     }
     return "?";
+}
+
+util::Result<ScenarioKind> parse_scenario_kind(const std::string& name) {
+    if (name == "hybrid") return ScenarioKind::kBiStableHybrid;
+    if (name == "static") return ScenarioKind::kStaticSplit;
+    if (name == "mono") return ScenarioKind::kMonoStable;
+    if (name == "oracle") return ScenarioKind::kOracle;
+    return util::Error{"unknown scenario " + name};
+}
+
+util::Status read_cloud_block(const util::JsonValue& block, ScenarioConfig& cfg,
+                              std::string_view where) {
+    constexpr double kMaxSeconds = util::kSpecHoursMax * 3600.0;
+    constexpr double kMaxReal = std::numeric_limits<double>::max();
+    cloud::CloudConfig& c = cfg.cloud;
+    double provision_s = c.provision_delay.seconds();
+    double idle_timeout_min = c.idle_timeout.seconds() / 60.0;
+    double sweep_s = c.sweep_interval.seconds();
+    // Every read runs; the first failure is reported.
+    for (const util::Status& st :
+         {util::json_read_int(block, "max_burst", c.max_burst, 0, util::kSpecCountMax),
+          util::json_read_num(block, "provision_s", provision_s, 0, kMaxSeconds),
+          util::json_read_num(block, "provision_jitter", c.provision_jitter, 0, 1),
+          util::json_read_num(block, "provision_failure", c.provision_failure_probability, 0, 1),
+          util::json_read_num(block, "idle_timeout_min", idle_timeout_min, 0, kMaxSeconds / 60),
+          util::json_read_num(block, "sweep_s", sweep_s, 0, kMaxSeconds),
+          util::json_read_num(block, "price_per_node_hour", c.price_per_node_hour, 0, kMaxReal),
+          util::json_read_int(block, "cloud_seed", c.seed),
+          util::json_read_int(block, "cooldown_polls", cfg.burst_cooldown_polls, 0),
+          util::json_read_num(block, "drain_estimate_s", cfg.burst_drain_estimate_s, 0,
+                              kMaxReal)}) {
+        if (!st.ok()) return util::json_at(where, st.error());
+    }
+    c.provision_delay = sim::seconds(provision_s);
+    c.idle_timeout = sim::seconds(idle_timeout_min * 60.0);
+    c.sweep_interval = sim::seconds(sweep_s);
+    // Boot jitter scales a delay by 1 ± jitter, the idle sweep is a periodic
+    // task, and the burst-aware policy divides by the drain estimate.
+    if (c.provision_jitter >= 1)
+        return util::json_at(where, util::Error{"provision_jitter must be < 1"});
+    if (c.sweep_interval.ms <= 0) return util::json_at(where, util::Error{"sweep_s must be > 0"});
+    if (cfg.burst_drain_estimate_s <= 0)
+        return util::json_at(where, util::Error{"drain_estimate_s must be > 0"});
+    return {};
+}
+
+util::Result<ScenarioConfig> parse_cloud_spec(const std::string& text, ScenarioConfig base) {
+    auto parsed = util::JsonReader(text).parse();
+    if (!parsed.ok()) return parsed.error();
+    const util::JsonValue& root = parsed.value();
+    if (root.type != util::JsonValue::Type::kObject ||
+        util::json_str_or(root, "schema", "") != "hc-cloud-spec/1")
+        return util::Error{"missing schema hc-cloud-spec/1"};
+    if (auto st = read_cloud_block(root, base); !st.ok()) return st.error();
+    if (base.cloud.max_burst <= 0) return util::Error{"max_burst must be >= 1"};
+    return base;
 }
 
 namespace {

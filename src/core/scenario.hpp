@@ -9,10 +9,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/hybrid.hpp"
 #include "util/arena.hpp"
+#include "util/json.hpp"
 #include "workload/metrics.hpp"
 
 namespace hc::core {
@@ -20,6 +22,10 @@ namespace hc::core {
 enum class ScenarioKind { kBiStableHybrid, kStaticSplit, kMonoStable, kOracle };
 
 [[nodiscard]] const char* scenario_kind_name(ScenarioKind k);
+
+/// Inverse of the spellings specs and flags use: "hybrid", "static", "mono",
+/// "oracle" (scenario_kind_name renders the longer display names).
+[[nodiscard]] util::Result<ScenarioKind> parse_scenario_kind(const std::string& name);
 
 struct ScenarioConfig {
     ScenarioKind kind = ScenarioKind::kBiStableHybrid;
@@ -74,6 +80,32 @@ struct ScenarioResult {
     std::string chrome_trace_json;
     std::string journal_jsonl;
 };
+
+// hc-cloud-spec/1: the document `dualboot_sim run --cloud` loads to arm the
+// elastic partition:
+//
+//   {"schema": "hc-cloud-spec/1",
+//    "max_burst": 8, "provision_s": 120, "provision_jitter": 0.25,
+//    "provision_failure": 0, "idle_timeout_min": 30, "sweep_s": 60,
+//    "price_per_node_hour": 0.32, "cooldown_polls": 2,
+//    "drain_estimate_s": 600, "cloud_seed": 77}
+//
+// Sweep specs embed the same knobs inline as a "cloud" object (no schema
+// field needed there: the sweep spec's own schema covers it). Absent keys
+// keep the target config's values.
+
+/// Read a cloud block's knobs onto `cfg`: the elastic-partition settings
+/// plus the burst-aware policy tuning that rides along with them. `where` is
+/// the block's JSON path, for error messages. max_burst may be 0 here (the
+/// partition stays off).
+[[nodiscard]] util::Status read_cloud_block(const util::JsonValue& block, ScenarioConfig& cfg,
+                                            std::string_view where = {});
+
+/// Parse an hc-cloud-spec/1 document onto `base`, which supplies the values
+/// of absent keys. A standalone document must arm the partition
+/// (max_burst >= 1).
+[[nodiscard]] util::Result<ScenarioConfig> parse_cloud_spec(const std::string& text,
+                                                            ScenarioConfig base = {});
 
 /// Run `trace` under the scenario and summarise. The engine is created
 /// internally so scenarios are fully independent and reproducible.

@@ -40,8 +40,8 @@ Result<FaultKind> parse_fault_kind(std::string_view name) {
 
 namespace {
 
-// JSON reading moved to util/json.hpp (shared with the sweep-spec parser in
-// dualboot_sim); plans keep local aliases for brevity.
+// JSON reading lives in util/json.hpp (shared by every hc-*/1 loader);
+// plans keep local aliases for brevity.
 using util::JsonReader;
 using util::JsonValue;
 using util::json_num_or;
@@ -83,7 +83,7 @@ Result<FaultPlan> parse_fault_plan(const std::string& json_text) {
         return Error{"unsupported fault plan schema: " + schema->string};
 
     FaultPlan plan;
-    plan.seed = static_cast<std::uint64_t>(json_num_or(root, "seed", 0.0));
+    if (auto st = util::json_read_int(root, "seed", plan.seed); !st.ok()) return st.error();
     if (const JsonValue* probs = root.find("probabilities");
         probs != nullptr && probs->type == JsonValue::Type::kObject) {
         plan.probabilities.boot_hang = json_num_or(*probs, "boot_hang", 0.0);
@@ -95,7 +95,9 @@ Result<FaultPlan> parse_fault_plan(const std::string& json_text) {
     if (events != nullptr) {
         if (events->type != JsonValue::Type::kArray)
             return Error{"\"events\" must be an array"};
-        for (const JsonValue& item : events->array) {
+        constexpr double kMaxSeconds = util::kSpecHoursMax * 3600.0;
+        for (std::size_t i = 0; i < events->array.size(); ++i) {
+            const JsonValue& item = events->array[i];
             if (item.type != JsonValue::Type::kObject)
                 return Error{"each fault event must be an object"};
             const JsonValue* kind = item.find("kind");
@@ -105,10 +107,17 @@ Result<FaultPlan> parse_fault_plan(const std::string& json_text) {
             if (!parsed_kind) return parsed_kind.error();
             FaultEvent ev;
             ev.kind = parsed_kind.value();
-            ev.at = sim::milliseconds(std::llround(json_num_or(item, "at_s", 0.0) * 1000.0));
-            ev.node = static_cast<int>(json_num_or(item, "node", -1.0));
-            ev.duration =
-                sim::milliseconds(std::llround(json_num_or(item, "duration_s", 0.0) * 1000.0));
+            double at_s = 0;
+            double duration_s = 0;
+            for (const util::Status& st :
+                 {util::json_read_num(item, "at_s", at_s, 0, kMaxSeconds),
+                  util::json_read_int(item, "node", ev.node, -1),
+                  util::json_read_num(item, "duration_s", duration_s, 0, kMaxSeconds)}) {
+                if (!st.ok())
+                    return util::json_at("events[" + std::to_string(i) + "]", st.error());
+            }
+            ev.at = sim::milliseconds(std::llround(at_s * 1000.0));
+            ev.duration = sim::milliseconds(std::llround(duration_s * 1000.0));
             if (const JsonValue* side = item.find("side");
                 side != nullptr && side->type == JsonValue::Type::kString)
                 ev.side = side->string;

@@ -154,8 +154,4 @@ GridSummary FederatedGrid::report(double horizon_s) {
     return summarise_grid(members, stats_.routed, stats_.rejected, horizon_s);
 }
 
-workload::Summary FederatedGrid::grid_summary(double horizon_s) {
-    return report(horizon_s).total;
-}
-
 }  // namespace hc::grid

@@ -1,10 +1,10 @@
-// FederatedGrid — the sharded, parallel campus grid.
+// FederatedGrid — the one way to run the campus grid, sharded and parallel.
 //
-// The serial GridGateway puts every member on one calendar; a federation of
-// eight 100k-node clusters then costs eight clusters of serial wall-clock.
-// Here each member is a *shard*: it owns a private Arena + Engine
-// (GridMember's shard constructor), shares nothing with the others, and is
-// advanced on a persistent sweep::TaskPool.
+// Each member is a *shard*: it owns a private Arena + Engine (GridMember),
+// shares nothing with the others, and is advanced on a persistent
+// sweep::TaskPool, so eight 100k-node members cost eight clusters of work
+// spread over the pool's threads rather than eight clusters of serial
+// wall-clock. At threads = 1 the same model runs on the caller's thread.
 //
 // Execution model: conservative parallel DES with epoch-synchronised
 // routing. Simulated time advances in fixed epochs [T, T+epoch); the epoch
@@ -15,9 +15,9 @@
 //   1. every shard is quiescent at T (pool barrier) — take MemberLoad
 //      snapshots per member per OS;
 //   2. route the epoch's arrivals (submit < T+epoch) in submit order
-//      against the snapshots (grid/routing.hpp RoutingTable — same
-//      first-capable / round-robin / least-pressure rules as the gateway),
-//      appending each accepted job to its target shard's mailbox;
+//      against the snapshots (grid/routing.hpp RoutingTable: the
+//      first-capable / round-robin / least-pressure rules), appending each
+//      accepted job to its target shard's mailbox;
 //   3. fan out: every shard delivers its mailbox (each job submits at its
 //      exact arrival instant, clamped to T for pre-epoch stragglers) and
 //      runs to T+epoch.
@@ -27,12 +27,11 @@
 // bar (see sweep/runner.hpp). Thread count is a wall-clock knob, nothing
 // else.
 //
-// The price of the lookahead: a gateway on the shared calendar sees member
-// load at the instant each job arrives; the federation sees load as of the
-// last boundary (at most one epoch stale) and delivers cross-shard
-// submissions no earlier than the next boundary after routing. That is the
-// standard conservative-DES trade — shorter epochs buy routing freshness
-// with more barriers.
+// The price of the lookahead: routing sees member load as of the last
+// boundary (at most one epoch stale), not at the instant each job arrives,
+// though every job is still delivered at its own submit instant. That is
+// the standard conservative-DES trade — shorter epochs buy routing
+// freshness with more barriers.
 #pragma once
 
 #include <memory>
@@ -60,8 +59,8 @@ struct MemberSpec {
 struct FederationConfig {
     RoutingRule rule = RoutingRule::kLeastPressure;
     /// Epoch length == lookahead. Defaults to the members' 10-minute poll
-    /// cycle: routing staleness then matches the detector staleness the
-    /// serial grid already lives with.
+    /// cycle: routing staleness then matches the detector staleness each
+    /// member already lives with.
     sim::Duration epoch = sim::minutes(10);
     int threads = 1;  ///< <= 0: one per hardware thread (sweep::resolve_threads)
     std::int64_t unix_epoch = -1;  ///< shared clock anchor for all shards
@@ -111,17 +110,15 @@ public:
     [[nodiscard]] const FederationStats& stats() const { return stats_; }
 
     /// Grid ledger over `horizon_s`, merged in member index order
-    /// (grid/summary.hpp — same report the serial gateway produces).
+    /// (grid/summary.hpp).
     [[nodiscard]] GridSummary report(double horizon_s);
-    [[nodiscard]] workload::Summary grid_summary(double horizon_s);
 
 private:
     struct Shard {
         std::unique_ptr<GridMember> member;
         /// This epoch's routed arrivals, in submit order. Delivered by a
         /// single self-re-arming pump event — O(1) live closures no matter
-        /// how many jobs an epoch carries (same shape as GridGateway's
-        /// streaming replay).
+        /// how many jobs an epoch carries.
         std::vector<workload::JobSpec> mailbox;
         std::size_t mailbox_cursor = 0;
     };

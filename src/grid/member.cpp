@@ -58,17 +58,6 @@ core::HybridConfig member_config(const std::string& name, GridMember::Kind kind,
 
 }  // namespace
 
-GridMember::GridMember(sim::Engine& engine, std::string name, Kind kind, int nodes,
-                       core::PolicyKind hybrid_policy, int cores_per_node)
-    : name_(std::move(name)),
-      kind_(kind),
-      nodes_(nodes),
-      cores_per_node_(cores_per_node),
-      engine_(engine) {
-    hybrid_ = std::make_unique<core::HybridCluster>(
-        engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_));
-}
-
 GridMember::GridMember(std::string name, Kind kind, int nodes,
                        core::PolicyKind hybrid_policy, int cores_per_node,
                        std::int64_t unix_epoch)
@@ -77,10 +66,9 @@ GridMember::GridMember(std::string name, Kind kind, int nodes,
       nodes_(nodes),
       cores_per_node_(cores_per_node),
       arena_(std::make_unique<util::Arena>()),
-      owned_engine_(std::make_unique<sim::Engine>(unix_epoch, arena_.get())),
-      engine_(*owned_engine_) {
+      engine_(std::make_unique<sim::Engine>(unix_epoch, arena_.get())) {
     hybrid_ = std::make_unique<core::HybridCluster>(
-        engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_));
+        *engine_, member_config(name_, kind_, nodes_, hybrid_policy, cores_per_node_));
 }
 
 void GridMember::start() {

@@ -3,14 +3,13 @@
 // The paper's cluster does not live alone: "This hybrid cluster is utilised
 // as part of the University of Huddersfield campus grid" (the Queensgate
 // Grid, QGG — ref [2] describes it as a grid of OSCAR clusters plus Windows
-// resources). This module models grid members as schedulable pools a gateway
-// can route jobs to: dedicated single-OS clusters and the dualboot-oscar
+// resources). This module models grid members as schedulable pools the
+// grid routes jobs to: dedicated single-OS clusters and the dualboot-oscar
 // hybrid, each wrapping a fully simulated HybridCluster.
 //
-// A member can either borrow the caller's engine (the original serial
-// gateway path: every member shares one calendar) or own a private
-// engine + arena (the sharded FederatedGrid path: each member is an
-// independently advanceable shard).
+// Every member is a shard: it owns a private engine + arena, so
+// grid::FederatedGrid can advance each one independently on any worker
+// thread.
 #pragma once
 
 #include <memory>
@@ -28,16 +27,9 @@ public:
     /// kind: dedicated clusters serve exactly one OS; the hybrid serves both.
     enum class Kind { kDedicatedLinux, kDedicatedWindows, kHybrid };
 
-    /// Borrowed-engine member: shares `engine` with the caller (and any other
-    /// members registered on the same GridGateway).
-    GridMember(sim::Engine& engine, std::string name, Kind kind, int nodes,
-               core::PolicyKind hybrid_policy = core::PolicyKind::kFairShare,
-               int cores_per_node = 4);
-
-    /// Shard member: owns a private Arena + Engine so a FederatedGrid can
-    /// advance it on any worker thread without touching other members.
-    /// `unix_epoch` seeds the engine clock (same value across shards keeps
-    /// their wall-clock renderings aligned).
+    /// Build the member on its own Arena + Engine. `unix_epoch` seeds the
+    /// engine clock (the same value across shards keeps their wall-clock
+    /// renderings aligned).
     GridMember(std::string name, Kind kind, int nodes,
                core::PolicyKind hybrid_policy = core::PolicyKind::kFairShare,
                int cores_per_node = 4, std::int64_t unix_epoch = -1);
@@ -50,10 +42,8 @@ public:
     [[nodiscard]] int nodes() const { return nodes_; }
     [[nodiscard]] int cores_per_node() const { return cores_per_node_; }
 
-    /// The engine this member runs on (borrowed or owned).
-    [[nodiscard]] sim::Engine& engine() { return engine_; }
-    /// True when this member owns its engine (shard mode).
-    [[nodiscard]] bool owns_engine() const { return owned_engine_ != nullptr; }
+    /// The member's own engine.
+    [[nodiscard]] sim::Engine& engine() { return *engine_; }
 
     /// Bring the member online (power on, start daemons, settle).
     void start();
@@ -64,7 +54,7 @@ public:
     /// Current load as seen for the given OS.
     [[nodiscard]] MemberLoad load(cluster::OsType os);
 
-    /// Submit (the gateway routes here). Requires capable(spec.os).
+    /// Submit (the grid routes here). Requires capable(spec.os).
     void submit(const workload::JobSpec& spec);
 
     [[nodiscard]] core::HybridCluster& cluster() { return *hybrid_; }
@@ -77,11 +67,9 @@ private:
     int nodes_ = 0;
     int cores_per_node_ = 4;
     // Declaration order is destruction-safety: hybrid_ (last declared, first
-    // destroyed) references engine_, which may alias owned_engine_, whose
-    // calendar allocates from arena_.
+    // destroyed) references engine_, whose calendar allocates from arena_.
     std::unique_ptr<util::Arena> arena_;
-    std::unique_ptr<sim::Engine> owned_engine_;
-    sim::Engine& engine_;
+    std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<core::HybridCluster> hybrid_;
     std::size_t jobs_received_ = 0;
 };

@@ -1,17 +1,15 @@
 // Grid routing rules and the deterministic per-epoch routing table.
 //
-// The gateway's three rules, from dumbest to the one a real grid broker
+// The grid's three rules, from dumbest to the one a real grid broker
 // approximates:
 //   kFirstCapable — first member that can run the job's OS
 //   kRoundRobin   — rotate among capable members
 //   kLeastPressure— member with the least queued-work-per-capacity for the
 //                   job's OS (free capacity breaks ties, then member index)
 //
-// Two consumers share these rules:
-//   * GridGateway::route — serial path, queries live member loads per job;
-//   * FederatedGrid      — sharded path, routes a whole epoch of arrivals
-//     against MemberLoad snapshots taken at the epoch boundary (the
-//     RoutingTable below), so routing never reads a shard mid-advance.
+// RoutingTable below is their one implementation. FederatedGrid routes a
+// whole epoch of arrivals through it against MemberLoad snapshots taken at
+// the epoch boundary, so routing never reads a shard mid-advance.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +31,7 @@ enum class RoutingRule { kFirstCapable, kRoundRobin, kLeastPressure };
 /// loaders surface typos instead of silently defaulting.
 [[nodiscard]] util::Result<RoutingRule> parse_routing_rule(const std::string& name);
 
-/// Point-in-time load figures a gateway uses for routing.
+/// Point-in-time load figures the grid routes on.
 struct MemberLoad {
     int capable_cpus = 0;   ///< cpus that can (eventually) serve the given OS
     int free_cpus = 0;      ///< cpus idle right now on that OS

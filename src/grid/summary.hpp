@@ -1,8 +1,7 @@
 // Grid-wide summary: merge member outcomes + counters into one ledger.
 //
-// Shared by the serial GridGateway and the sharded FederatedGrid so both
-// paths produce the same report for the same member states. The merge is
-// careful about heterogeneous grids: reboot downtime is counted in
+// FederatedGrid::report builds the grid ledger here. The merge is careful
+// about heterogeneous grids: reboot downtime is counted in
 // node-seconds per member, so the capacity it wastes depends on each
 // member's own cores_per_node — the grid-wide switch overhead is the sum of
 // per-member core-second losses over grid capacity, not node-seconds scaled
@@ -35,8 +34,8 @@ struct GridSummary {
 };
 
 /// Merge `members` (in order) over `horizon_s`. `routed`/`rejected` come
-/// from whichever gateway drove the grid; total.submitted is routed +
-/// rejected so rejections depress the completion rate.
+/// from the grid's routing stats; total.submitted is routed + rejected so
+/// rejections depress the completion rate.
 [[nodiscard]] GridSummary summarise_grid(const std::vector<GridMember*>& members,
                                          std::size_t routed, std::size_t rejected,
                                          double horizon_s);

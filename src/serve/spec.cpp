@@ -1,5 +1,7 @@
 #include "serve/spec.hpp"
 
+#include <limits>
+
 #include "util/json.hpp"
 
 namespace hc::serve {
@@ -33,12 +35,14 @@ util::Result<ServeSpec> parse_serve_spec(const std::string& text) {
     if (util::json_str_or(root, "schema", "") != "hc-serve-spec/1")
         return util::Error{"serve spec: missing schema hc-serve-spec/1"};
 
+    constexpr std::size_t kMaxCount = util::kSpecCountMax;
+    constexpr double kMaxSeconds = util::kSpecHoursMax * 3600.0;
+    constexpr double kMaxReal = std::numeric_limits<double>::max();
+    const auto fail = [](std::string_view where, const util::Status& st) {
+        return util::Error{"serve spec: " + util::json_at(where, st.error()).message};
+    };
+
     ServeSpec spec;
-    spec.clients = static_cast<int>(util::json_num_or(root, "clients", spec.clients));
-    spec.nodes = static_cast<int>(util::json_num_or(root, "nodes", spec.nodes));
-    spec.hours = util::json_num_or(root, "hours", spec.hours);
-    spec.seed = static_cast<std::uint64_t>(util::json_num_or(
-        root, "seed", static_cast<double>(spec.seed)));
     const std::string backend = util::json_str_or(root, "backend", "pbs");
     if (backend == "pbs") {
         spec.backend = BackendKind::kPbs;
@@ -47,30 +51,37 @@ util::Result<ServeSpec> parse_serve_spec(const std::string& text) {
     } else {
         return util::Error{"serve spec: backend must be \"pbs\" or \"winhpc\""};
     }
-    spec.cycle_seconds = util::json_num_or(root, "cycle_seconds", spec.cycle_seconds);
-    spec.poll_minutes = util::json_num_or(root, "poll_minutes", spec.poll_minutes);
-    spec.retention = static_cast<std::size_t>(util::json_num_or(
-        root, "retention", static_cast<double>(spec.retention)));
-    spec.query_ratio = util::json_num_or(root, "query_ratio", spec.query_ratio);
-    spec.checkqueue_ratio =
-        util::json_num_or(root, "checkqueue_ratio", spec.checkqueue_ratio);
-    spec.max_job_nodes =
-        static_cast<int>(util::json_num_or(root, "max_job_nodes", spec.max_job_nodes));
-    spec.runtime_scale = util::json_num_or(root, "runtime_scale", spec.runtime_scale);
+    // Every read runs; the first failure is reported.
+    for (const util::Status& st :
+         {util::json_read_int(root, "clients", spec.clients, 1, util::kSpecCountMax),
+          util::json_read_int(root, "nodes", spec.nodes, 1, util::kSpecCountMax),
+          util::json_read_num(root, "hours", spec.hours, 0, util::kSpecHoursMax),
+          util::json_read_int(root, "seed", spec.seed),
+          util::json_read_num(root, "cycle_seconds", spec.cycle_seconds, 0, kMaxSeconds),
+          util::json_read_num(root, "poll_minutes", spec.poll_minutes, 0, kMaxSeconds / 60),
+          util::json_read_int(root, "retention", spec.retention, std::size_t{0}, kMaxCount),
+          util::json_read_num(root, "query_ratio", spec.query_ratio, 0, 1),
+          util::json_read_num(root, "checkqueue_ratio", spec.checkqueue_ratio, 0, 1),
+          util::json_read_int(root, "max_job_nodes", spec.max_job_nodes, 1, util::kSpecCountMax),
+          util::json_read_num(root, "runtime_scale", spec.runtime_scale, 0, 1e6)}) {
+        if (!st.ok()) return fail("", st);
+    }
 
     if (const util::JsonValue* a = root.find("admission"); a != nullptr) {
         if (a->type != util::JsonValue::Type::kObject)
             return util::Error{"serve spec: admission must be an object"};
         AdmissionConfig& adm = spec.admission;
-        adm.queue_capacity = static_cast<std::size_t>(util::json_num_or(
-            *a, "queue_capacity", static_cast<double>(adm.queue_capacity)));
-        adm.max_batch = static_cast<std::size_t>(
-            util::json_num_or(*a, "max_batch", static_cast<double>(adm.max_batch)));
-        adm.per_client_rate_per_min =
-            util::json_num_or(*a, "per_client_rate_per_min", adm.per_client_rate_per_min);
-        adm.burst_tokens = util::json_num_or(*a, "burst_tokens", adm.burst_tokens);
-        adm.max_backend_queue = static_cast<std::size_t>(util::json_num_or(
-            *a, "max_backend_queue", static_cast<double>(adm.max_backend_queue)));
+        for (const util::Status& st :
+             {util::json_read_int(*a, "queue_capacity", adm.queue_capacity, std::size_t{1},
+                                  kMaxCount),
+              util::json_read_int(*a, "max_batch", adm.max_batch, std::size_t{1}, kMaxCount),
+              util::json_read_num(*a, "per_client_rate_per_min", adm.per_client_rate_per_min, 0,
+                                  kMaxReal),
+              util::json_read_num(*a, "burst_tokens", adm.burst_tokens, 0, kMaxReal),
+              util::json_read_int(*a, "max_backend_queue", adm.max_backend_queue,
+                                  std::size_t{0}, kMaxCount)}) {
+            if (!st.ok()) return fail("admission", st);
+        }
     }
     if (const util::JsonValue* a = root.find("arrival"); a != nullptr) {
         if (a->type != util::JsonValue::Type::kObject)
@@ -83,35 +94,33 @@ util::Result<ServeSpec> parse_serve_spec(const std::string& text) {
         if (c->type != util::JsonValue::Type::kObject)
             return util::Error{"serve spec: cloud must be an object"};
         ServeCloudSpec& cl = spec.cloud;
-        cl.max_burst = static_cast<int>(
-            util::json_num_or(*c, "max_burst", static_cast<double>(cl.max_burst)));
-        cl.provision_s = util::json_num_or(*c, "provision_s", cl.provision_s);
-        cl.idle_timeout_min = util::json_num_or(*c, "idle_timeout_min", cl.idle_timeout_min);
-        cl.price_per_node_hour =
-            util::json_num_or(*c, "price_per_node_hour", cl.price_per_node_hour);
-        cl.queue_threshold = static_cast<std::size_t>(util::json_num_or(
-            *c, "queue_threshold", static_cast<double>(cl.queue_threshold)));
-        cl.sweep_s = util::json_num_or(*c, "sweep_s", cl.sweep_s);
+        for (const util::Status& st :
+             {util::json_read_int(*c, "max_burst", cl.max_burst, 0, util::kSpecCountMax),
+              util::json_read_num(*c, "provision_s", cl.provision_s, 0, kMaxSeconds),
+              util::json_read_num(*c, "idle_timeout_min", cl.idle_timeout_min, 0,
+                                  kMaxSeconds / 60),
+              util::json_read_num(*c, "price_per_node_hour", cl.price_per_node_hour, 0,
+                                  kMaxReal),
+              util::json_read_int(*c, "queue_threshold", cl.queue_threshold, std::size_t{0},
+                                  kMaxCount),
+              util::json_read_num(*c, "sweep_s", cl.sweep_s, 0, kMaxSeconds)}) {
+            if (!st.ok()) return fail("cloud", st);
+        }
     }
 
-    if (spec.clients < 1) return util::Error{"serve spec: clients must be >= 1"};
-    if (spec.nodes < 1) return util::Error{"serve spec: nodes must be >= 1"};
     if (spec.hours <= 0) return util::Error{"serve spec: hours must be > 0"};
-    if (spec.cycle_seconds <= 0) return util::Error{"serve spec: cycle_seconds must be > 0"};
-    if (spec.poll_minutes <= 0) return util::Error{"serve spec: poll_minutes must be > 0"};
-    if (spec.admission.queue_capacity == 0 || spec.admission.max_batch == 0)
-        return util::Error{"serve spec: admission bounds must be >= 1"};
+    // The service cycle and detector poll are periodic tasks: each must
+    // last at least one simulated millisecond.
+    if (sim::seconds(spec.cycle_seconds).ms <= 0)
+        return util::Error{"serve spec: cycle_seconds must be > 0"};
+    if (sim::minutes(spec.poll_minutes).ms <= 0)
+        return util::Error{"serve spec: poll_minutes must be > 0"};
     if (spec.admission.per_client_rate_per_min <= 0 || spec.admission.burst_tokens < 1)
         return util::Error{"serve spec: per-client rate knobs must be positive"};
-    if (spec.query_ratio < 0 || spec.query_ratio > 1 || spec.checkqueue_ratio < 0 ||
-        spec.checkqueue_ratio > 1)
-        return util::Error{"serve spec: ratios must be within [0, 1]"};
-    if (spec.max_job_nodes < 1) return util::Error{"serve spec: max_job_nodes must be >= 1"};
     if (spec.runtime_scale <= 0) return util::Error{"serve spec: runtime_scale must be > 0"};
-    if (spec.cloud.max_burst < 0) return util::Error{"serve spec: cloud.max_burst must be >= 0"};
     if (spec.cloud.max_burst > 0 &&
         (spec.cloud.provision_s <= 0 || spec.cloud.idle_timeout_min <= 0 ||
-         spec.cloud.sweep_s <= 0 || spec.cloud.price_per_node_hour < 0))
+         sim::seconds(spec.cloud.sweep_s).ms <= 0))
         return util::Error{"serve spec: cloud knobs must be positive"};
     return spec;
 }

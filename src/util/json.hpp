@@ -1,5 +1,6 @@
-// Minimal JSON *reader*, shared by every input-parsing layer (fault plans,
-// sweep specs). The emitting counterpart lives in util/json_out.hpp.
+// Minimal JSON *reader*, shared by every hc-*/1 document loader (fault
+// plans, cloud, sweep, grid and serve specs). The emitting counterpart
+// lives in util/json_out.hpp.
 //
 // Scope is exactly what our own emitters produce: objects, arrays, strings
 // (with the escapes util/json_out.hpp writes), numbers, booleans, null. No
@@ -8,7 +9,10 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,6 +49,64 @@ struct JsonValue {
                                              const std::string& fallback) {
     const JsonValue* v = obj.find(key);
     return v != nullptr && v->type == JsonValue::Type::kString ? v->string : fallback;
+}
+
+/// Limits every spec loader applies. Counts that size an allocation (nodes,
+/// clients, seeds, queue bounds) stay at or below kSpecCountMax, and spans
+/// at or below kSpecHoursMax hours (about 114 years), so a typo is a typed
+/// error, not a terabyte allocation or an overflow of int64 milliseconds.
+inline constexpr int kSpecCountMax = 1'000'000;
+inline constexpr double kSpecHoursMax = 1e6;
+
+/// Range-checked integer member, the one way loaders narrow a JSON number.
+/// Absent or not a number: `out` keeps its value (the caller's default), as
+/// with json_num_or. A number is truncated toward zero like a static_cast,
+/// but only after checking that it is finite and lies within [lo, hi] (by
+/// default the whole of Int), so an out-of-range double never reaches the
+/// cast, which would be undefined behaviour.
+template <typename Int>
+[[nodiscard]] Status json_read_int(const JsonValue& obj, std::string_view key, Int& out,
+                                   Int lo = std::numeric_limits<Int>::min(),
+                                   Int hi = std::numeric_limits<Int>::max()) {
+    const JsonValue* v = obj.find(key);
+    if (v == nullptr || v->type != JsonValue::Type::kNumber) return {};
+    // 2^digits is the first double past the type's maximum (the maximum
+    // itself may round up to it), so the cast below is always defined.
+    constexpr double kTop = static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1) * 2.0;
+    const double t = std::trunc(v->number);  // NaN stays NaN and fails the test
+    if (t >= static_cast<double>(std::numeric_limits<Int>::min()) && t < kTop) {
+        const Int n = static_cast<Int>(t);
+        if (n >= lo && n <= hi) {
+            out = n;
+            return {};
+        }
+    }
+    return Error{std::string(key) + " must be an integer in [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "]"};
+}
+
+/// Range-checked real member: absent or not a number leaves `out` as is; a
+/// value outside [lo, hi] (including the inf and nan strtod accepts) is an
+/// error. Loaders bound every value they turn into a sim::Duration, whose
+/// integer milliseconds a huge double would overflow.
+[[nodiscard]] inline Status json_read_num(const JsonValue& obj, std::string_view key,
+                                          double& out, double lo, double hi) {
+    const JsonValue* v = obj.find(key);
+    if (v == nullptr || v->type != JsonValue::Type::kNumber) return {};
+    if (!(v->number >= lo && v->number <= hi)) {
+        char range[64];
+        std::snprintf(range, sizeof range, " must be in [%g, %g]", lo, hi);
+        return Error{std::string(key) + range};
+    }
+    out = v->number;
+    return {};
+}
+
+/// Qualify a member's error with the JSON path of the object holding it
+/// ("cloud", "members[2]"); an empty path leaves the error as it is.
+[[nodiscard]] inline Error json_at(std::string_view where, Error error) {
+    if (!where.empty()) error.message = std::string(where) + "." + error.message;
+    return error;
 }
 
 class JsonReader {
@@ -86,8 +148,15 @@ private:
         skip_ws();
         if (pos_ >= text_.size()) return fail("unexpected end of input");
         const char c = text_[pos_];
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
+        if (c == '{' || c == '[') {
+            // Bounded recursion: a deeply nested document is an error, not a
+            // stack overflow.
+            if (depth_ >= kMaxDepth) return fail("nesting deeper than 64 levels");
+            ++depth_;
+            auto nested = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return nested;
+        }
         if (c == '"') return parse_string();
         if (c == 't' || c == 'f') return parse_keyword_bool();
         if (c == 'n') return parse_keyword_null();
@@ -197,8 +266,10 @@ private:
         return v;
     }
 
+    static constexpr int kMaxDepth = 64;
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace hc::util

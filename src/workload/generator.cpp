@@ -6,6 +6,26 @@
 
 namespace hc::workload {
 
+util::Result<GeneratorSpec> parse_workload_block(const util::JsonValue& spec) {
+    GeneratorSpec out;
+    const util::JsonValue* w = spec.find("workload");
+    if (w == nullptr || w->type != util::JsonValue::Type::kObject) return out;
+    auto arrival = parse_arrival_spec(*w);
+    if (!arrival.ok()) return arrival.error();
+    out.config.arrival = arrival.value();
+    out.config.max_nodes = 4;
+    out.config.runtime_scale = 0.25;
+    for (const util::Status& st :
+         {util::json_read_int(*w, "max_nodes", out.config.max_nodes, 1, util::kSpecCountMax),
+          util::json_read_num(*w, "runtime_scale", out.config.runtime_scale, 0, 1e6),
+          util::json_read_int(*w, "trace_seed", out.seed)}) {
+        if (!st.ok()) return util::json_at("workload", st.error());
+    }
+    if (out.config.runtime_scale <= 0)
+        return util::Error{"workload.runtime_scale must be > 0"};
+    return out;
+}
+
 using cluster::OsType;
 
 WorkloadGenerator::WorkloadGenerator(AppCatalog catalog, GeneratorConfig config,

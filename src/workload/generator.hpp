@@ -59,6 +59,25 @@ struct GeneratorConfig {
     double runtime_scale = 1.0;
 };
 
+/// A spec's synthetic trace: the generator knobs plus the seed that draws it.
+struct GeneratorSpec {
+    GeneratorConfig config;
+    std::uint64_t seed = 42;
+};
+
+/// The "workload" block hc-sweep-spec/1 and hc-grid-spec/1 share, read from
+/// the document root `spec`:
+///
+///   "workload": {"rate_per_hour": 8, "max_nodes": 4,
+///                "runtime_scale": 0.25, "trace_seed": 42}
+///
+/// The arrival knobs (rate, bursts, diurnal shape) parse through
+/// parse_arrival_spec, as hc-serve-spec/1 arrival blocks do. Without a block
+/// (or when "workload" is not an object) the GeneratorConfig defaults stand;
+/// inside a block, max_nodes and runtime_scale default to 4 and 0.25. The
+/// horizon is left to the caller.
+[[nodiscard]] util::Result<GeneratorSpec> parse_workload_block(const util::JsonValue& spec);
+
 class WorkloadGenerator {
 public:
     WorkloadGenerator(AppCatalog catalog, GeneratorConfig config, std::uint64_t seed);

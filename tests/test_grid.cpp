@@ -1,12 +1,12 @@
 // Tests for the campus-grid (QGG) layer: members, capability, routing rules,
-// grid-wide summaries, and the sharded FederatedGrid (epoch-synchronised
-// routing, thread-count byte-equality, conservation invariants).
+// grid-wide summaries, and FederatedGrid, which runs every grid
+// (epoch-synchronised routing, thread-count byte-equality, conservation
+// invariants).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "grid/federation.hpp"
-#include "grid/gateway.hpp"
 #include "util/rng.hpp"
 #include "workload/catalog.hpp"
 
@@ -24,14 +24,29 @@ workload::JobSpec job(OsType os, int nodes, sim::Duration runtime) {
     return spec;
 }
 
+workload::JobSpec timed_job(OsType os, int nodes, sim::Duration runtime,
+                            sim::TimePoint submit) {
+    auto spec = job(os, nodes, runtime);
+    spec.submit = submit;
+    return spec;
+}
+
+/// Grid tests run FederatedGrid on one thread, with the members' 10-minute
+/// poll cycle as the epoch.
 struct GridFixture : ::testing::Test {
-    sim::Engine engine;
+    static FederationConfig serial(RoutingRule rule) {
+        FederationConfig config;
+        config.rule = rule;
+        config.epoch = sim::minutes(10);
+        config.threads = 1;
+        return config;
+    }
 };
 
 TEST_F(GridFixture, MemberCapabilities) {
-    GridMember linux_member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4);
-    GridMember windows_member(engine, "vega", GridMember::Kind::kDedicatedWindows, 4);
-    GridMember hybrid(engine, "eridani", GridMember::Kind::kHybrid, 4);
+    GridMember linux_member("tauceti", GridMember::Kind::kDedicatedLinux, 4);
+    GridMember windows_member("vega", GridMember::Kind::kDedicatedWindows, 4);
+    GridMember hybrid("eridani", GridMember::Kind::kHybrid, 4);
     EXPECT_TRUE(linux_member.capable(OsType::kLinux));
     EXPECT_FALSE(linux_member.capable(OsType::kWindows));
     EXPECT_FALSE(windows_member.capable(OsType::kLinux));
@@ -41,8 +56,8 @@ TEST_F(GridFixture, MemberCapabilities) {
 }
 
 TEST_F(GridFixture, DedicatedMembersBootTheirOs) {
-    GridMember linux_member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4);
-    GridMember windows_member(engine, "vega", GridMember::Kind::kDedicatedWindows, 4);
+    GridMember linux_member("tauceti", GridMember::Kind::kDedicatedLinux, 4);
+    GridMember windows_member("vega", GridMember::Kind::kDedicatedWindows, 4);
     linux_member.start();
     windows_member.start();
     EXPECT_EQ(linux_member.cluster().cluster().count_running(OsType::kLinux), 4);
@@ -50,7 +65,7 @@ TEST_F(GridFixture, DedicatedMembersBootTheirOs) {
 }
 
 TEST_F(GridFixture, LoadReflectsQueuedWork) {
-    GridMember member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2);
+    GridMember member("tauceti", GridMember::Kind::kDedicatedLinux, 2);
     member.start();
     EXPECT_EQ(member.load(OsType::kLinux).capable_cpus, 8);
     EXPECT_EQ(member.load(OsType::kLinux).free_cpus, 8);
@@ -66,101 +81,92 @@ TEST_F(GridFixture, LoadReflectsQueuedWork) {
 }
 
 TEST_F(GridFixture, SubmitToIncapableMemberThrows) {
-    GridMember member(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2);
+    GridMember member("tauceti", GridMember::Kind::kDedicatedLinux, 2);
     member.start();
     EXPECT_THROW(member.submit(job(OsType::kWindows, 1, sim::hours(1))),
                  util::PreconditionError);
 }
 
 TEST_F(GridFixture, FirstCapableRouting) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    auto& a = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& b = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    for (int i = 0; i < 3; ++i) ASSERT_NE(gateway.route(job(OsType::kLinux, 1, sim::hours(1))),
-                                          nullptr);
-    EXPECT_EQ(a.jobs_received(), 3u);
-    EXPECT_EQ(b.jobs_received(), 0u);
+    // First-capable ignores load: every job goes to the first member that
+    // can run its OS, even a saturated one ahead of an idle one.
+    RoutingTable table(RoutingRule::kFirstCapable, 3);
+    table.set_load(0, OsType::kWindows, true, MemberLoad{8, 8, 0});  // Windows only
+    table.set_load(1, OsType::kLinux, true, MemberLoad{8, 0, 64});   // saturated
+    table.set_load(2, OsType::kLinux, true, MemberLoad{8, 8, 0});    // idle
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(table.route(OsType::kLinux, 4), 1u);
+    EXPECT_EQ(table.route(OsType::kWindows, 4), 0u);
+    RoutingTable linux_only(RoutingRule::kFirstCapable, 1);
+    linux_only.set_load(0, OsType::kLinux, true, MemberLoad{8, 8, 0});
+    EXPECT_EQ(linux_only.route(OsType::kWindows, 1), RoutingTable::kRejected);
 }
 
 TEST_F(GridFixture, RoundRobinRouting) {
-    GridGateway gateway(engine, RoutingRule::kRoundRobin);
-    auto& a = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& b = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    for (int i = 0; i < 4; ++i) ASSERT_NE(gateway.route(job(OsType::kLinux, 1, sim::hours(1))),
-                                          nullptr);
-    EXPECT_EQ(a.jobs_received(), 2u);
-    EXPECT_EQ(b.jobs_received(), 2u);
+    FederatedGrid fed(serial(RoutingRule::kRoundRobin));
+    fed.add_member({"tauceti", GridMember::Kind::kDedicatedLinux, 2});
+    fed.add_member({"altair", GridMember::Kind::kDedicatedLinux, 2});
+    fed.start();
+    std::vector<workload::JobSpec> trace;
+    for (int i = 0; i < 4; ++i)
+        trace.push_back(timed_job(OsType::kLinux, 1, sim::hours(1), fed.now() + sim::minutes(i)));
+    fed.run(trace, fed.now() + sim::minutes(10));
+    EXPECT_EQ(fed.stats().routed, 4u);
+    EXPECT_EQ(fed.member(0).jobs_received(), 2u);
+    EXPECT_EQ(fed.member(1).jobs_received(), 2u);
 }
 
 TEST_F(GridFixture, LeastPressureAvoidsTheBusyMember) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    auto& busy = gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    auto& idle = gateway.add_member(
-        std::make_unique<GridMember>(engine, "altair", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
+    FederatedGrid fed(serial(RoutingRule::kLeastPressure));
+    fed.add_member({"tauceti", GridMember::Kind::kDedicatedLinux, 2});
+    fed.add_member({"altair", GridMember::Kind::kDedicatedLinux, 2});
+    fed.start();
     // Saturate the first member directly.
+    GridMember& busy = fed.member(0);
     busy.submit(job(OsType::kLinux, 2, sim::hours(4)));
     busy.submit(job(OsType::kLinux, 2, sim::hours(4)));
-    GridMember* chosen = gateway.route(job(OsType::kLinux, 1, sim::hours(1)));
-    EXPECT_EQ(chosen, &idle);
+    fed.run({timed_job(OsType::kLinux, 1, sim::hours(1), fed.now())},
+            fed.now() + sim::minutes(10));
+    EXPECT_EQ(busy.jobs_received(), 2u);
+    EXPECT_EQ(fed.member(1).jobs_received(), 1u);
 }
 
 TEST_F(GridFixture, UnroutableJobIsRejected) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    EXPECT_EQ(gateway.route(job(OsType::kWindows, 1, sim::hours(1))), nullptr);
-    EXPECT_EQ(gateway.stats().rejected, 1u);
+    FederatedGrid fed(serial(RoutingRule::kLeastPressure));
+    fed.add_member({"tauceti", GridMember::Kind::kDedicatedLinux, 2});
+    fed.start();
+    fed.run({timed_job(OsType::kWindows, 1, sim::hours(1), fed.now())},
+            fed.now() + sim::minutes(10));
+    EXPECT_EQ(fed.stats().rejected, 1u);
+    EXPECT_EQ(fed.stats().routed, 0u);
+    EXPECT_EQ(fed.member(0).jobs_received(), 0u);
 }
 
 TEST_F(GridFixture, HybridMemberAbsorbsWindowsOverflow) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "vega", GridMember::Kind::kDedicatedWindows, 2));
-    auto& hybrid = gateway.add_member(
-        std::make_unique<GridMember>(engine, "eridani", GridMember::Kind::kHybrid, 4));
-    gateway.start();
+    FederatedGrid fed(serial(RoutingRule::kLeastPressure));
+    fed.add_member({"vega", GridMember::Kind::kDedicatedWindows, 2});
+    fed.add_member({"eridani", GridMember::Kind::kHybrid, 4});
+    fed.start();
     // Overload the dedicated Windows cluster; overflow should route to the
     // hybrid, which then reboots nodes into Windows to serve it.
-    for (int i = 0; i < 6; ++i)
-        ASSERT_NE(gateway.route(job(OsType::kWindows, 2, sim::minutes(30))), nullptr);
+    std::vector<workload::JobSpec> trace(
+        6, timed_job(OsType::kWindows, 2, sim::minutes(30), fed.now()));
+    fed.run(trace, fed.now() + sim::hours(8));
+    GridMember& hybrid = fed.member(1);
+    EXPECT_EQ(fed.stats().routed, 6u);
     EXPECT_GT(hybrid.jobs_received(), 0u);
-    engine.run_until(sim::TimePoint{} + sim::hours(8));
-    const auto summary = gateway.grid_summary(sim::hours(8).seconds());
+    const auto summary = fed.report(sim::hours(8).seconds()).total;
     EXPECT_EQ(summary.completed, 6u);
     EXPECT_GT(hybrid.cluster().counters().os_switches, 0u);
 }
 
-TEST_F(GridFixture, ReplayRoutesByTime) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    gateway.start();
-    auto spec = job(OsType::kLinux, 1, sim::minutes(10));
-    spec.submit = sim::TimePoint{} + sim::hours(1);
-    gateway.replay({spec});
-    EXPECT_EQ(gateway.stats().routed, 0u);
-    engine.run_until(sim::TimePoint{} + sim::hours(2));
-    EXPECT_EQ(gateway.stats().routed, 1u);
-    EXPECT_EQ(gateway.grid_summary(sim::hours(2).seconds()).completed, 1u);
-}
-
 TEST_F(GridFixture, MemberAccessorsValidate) {
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    EXPECT_THROW(gateway.start(), util::PreconditionError);  // no members
-    gateway.add_member(
-        std::make_unique<GridMember>(engine, "tauceti", GridMember::Kind::kDedicatedLinux, 2));
-    EXPECT_EQ(gateway.member_count(), 1u);
-    EXPECT_NO_THROW((void)gateway.member(0));
-    EXPECT_THROW((void)gateway.member(1), util::PreconditionError);
+    FederatedGrid fed(serial(RoutingRule::kFirstCapable));
+    EXPECT_THROW(fed.start(), util::PreconditionError);  // no members
+    fed.add_member({"tauceti", GridMember::Kind::kDedicatedLinux, 2});
+    fed.start();
+    EXPECT_EQ(fed.member_count(), 1u);
+    EXPECT_NO_THROW((void)fed.member(0));
+    EXPECT_THROW((void)fed.member(1), util::PreconditionError);
 }
 
 // ---- routing module --------------------------------------------------------
@@ -236,31 +242,31 @@ TEST(GridRouting, TableRoundRobinCursorCarriesAcrossEpochs) {
 // ---- heterogeneous grid summaries ------------------------------------------
 
 TEST_F(GridFixture, HeterogeneousCoresPerNodeSummary) {
-    GridGateway gateway(engine, RoutingRule::kLeastPressure);
+    FederatedGrid fed(serial(RoutingRule::kLeastPressure));
     // A wide-node hybrid first, then a narrow-node Linux member LAST — the
     // old merge took the last member's cores_per_node for the whole grid,
     // which mis-scaled the hybrid's reboot downtime by 2/8.
-    auto& hybrid = gateway.add_member(std::make_unique<GridMember>(
-        engine, "eridani", GridMember::Kind::kHybrid, 4, core::PolicyKind::kFairShare, 8));
-    gateway.add_member(std::make_unique<GridMember>(
-        engine, "tauceti", GridMember::Kind::kDedicatedLinux, 4, core::PolicyKind::kFairShare,
-        2));
-    gateway.start();
+    fed.add_member({"eridani", GridMember::Kind::kHybrid, 4, core::PolicyKind::kFairShare, 8});
+    fed.add_member(
+        {"tauceti", GridMember::Kind::kDedicatedLinux, 4, core::PolicyKind::kFairShare, 2});
+    fed.start();
     // Windows demand forces the hybrid to switch nodes -> nonzero downtime.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_NE(gateway.route(job(OsType::kWindows, 2, sim::minutes(30))), nullptr);
-    engine.run_until(sim::TimePoint{} + sim::hours(8));
+    std::vector<workload::JobSpec> trace(
+        4, timed_job(OsType::kWindows, 2, sim::minutes(30), fed.now()));
+    fed.run(trace, fed.now() + sim::hours(8));
+    ASSERT_EQ(fed.stats().routed, 4u);
 
     const double horizon_s = sim::hours(8).seconds();
-    const GridSummary report = gateway.grid_report(horizon_s);
+    const GridSummary report = fed.report(horizon_s);
     ASSERT_EQ(report.members.size(), 2u);
     EXPECT_EQ(report.members[0].name, "eridani");
     EXPECT_EQ(report.members[0].cores_per_node, 8);
     EXPECT_EQ(report.members[1].cores_per_node, 2);
+    GridMember& hybrid = fed.member(0);
     EXPECT_EQ(report.members[0].jobs_received, hybrid.jobs_received());
 
     const auto hybrid_counters = hybrid.cluster().counters();
-    const auto tauceti_counters = gateway.member(1).cluster().counters();
+    const auto tauceti_counters = fed.member(1).cluster().counters();
     ASSERT_GT(hybrid_counters.reboot_downtime_s, 0);
     const double total_cores = 4 * 8 + 4 * 2;
     // Exact heterogeneous overhead: each member's node-second downtime costs
@@ -274,13 +280,6 @@ TEST_F(GridFixture, HeterogeneousCoresPerNodeSummary) {
 }
 
 // ---- the sharded federation ------------------------------------------------
-
-workload::JobSpec timed_job(OsType os, int nodes, sim::Duration runtime,
-                            sim::TimePoint submit) {
-    auto spec = job(os, nodes, runtime);
-    spec.submit = submit;
-    return spec;
-}
 
 TEST(FederatedGridTest, DeliversMessagesAtTheirSubmitInstant) {
     FederationConfig config;
@@ -456,6 +455,9 @@ TEST(FederatedGridTest, ValidatesItsPreconditions) {
     EXPECT_THROW(fed.run({}, sim::TimePoint{} + sim::hours(1)),
                  util::PreconditionError);  // before start
     fed.start();
+    EXPECT_EQ(fed.member_count(), 1u);
+    EXPECT_NO_THROW((void)fed.member(0));
+    EXPECT_THROW((void)fed.member(1), util::PreconditionError);  // out of range
     EXPECT_THROW(fed.add_member({"y", GridMember::Kind::kHybrid, 2}),
                  util::PreconditionError);  // after start
     // Unsorted traces are refused, not silently misrouted.
@@ -463,14 +465,6 @@ TEST(FederatedGridTest, ValidatesItsPreconditions) {
         timed_job(OsType::kLinux, 1, sim::minutes(5), sim::TimePoint{} + sim::hours(2)),
         timed_job(OsType::kLinux, 1, sim::minutes(5), sim::TimePoint{} + sim::hours(1))};
     EXPECT_THROW(fed.run(unsorted, sim::TimePoint{} + sim::hours(3)),
-                 util::PreconditionError);
-}
-
-TEST(FederatedGridTest, ShardMembersAreRejectedByTheSerialGateway) {
-    sim::Engine engine;
-    GridGateway gateway(engine, RoutingRule::kFirstCapable);
-    EXPECT_THROW(gateway.add_member(std::make_unique<GridMember>(
-                     "tauceti", GridMember::Kind::kDedicatedLinux, 2)),
                  util::PreconditionError);
 }
 

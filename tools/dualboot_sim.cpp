@@ -14,36 +14,30 @@
 // Policies : fcfs | threshold | fair-share | predictive | never | calendar |
 //            burst-aware.
 //
-// --cloud names an hc-cloud-spec/1 document arming the elastic partition:
-//
-//   {"schema": "hc-cloud-spec/1",
-//    "max_burst": 8, "provision_s": 120, "provision_jitter": 0.25,
-//    "provision_failure": 0, "idle_timeout_min": 30, "sweep_s": 60,
-//    "price_per_node_hour": 0.32, "cooldown_polls": 2,
-//    "drain_estimate_s": 600, "cloud_seed": 77}
-//
-// Sweep specs embed the same knobs inline as a "cloud" object (no schema
-// field needed there — the sweep spec's own schema covers it).
+// Each hc-*/1 document parses inside its library, beside the description of
+// its format: core/scenario.hpp (--cloud), sweep/spec.hpp, grid/spec.hpp,
+// serve/spec.hpp and fault/plan.hpp (--faults). This file keeps the flags,
+// the file I/O and the printing.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "fault/plan.hpp"
-#include "grid/federation.hpp"
+#include "grid/spec.hpp"
 #include "serve/runner.hpp"
 #include "sweep/runner.hpp"
-#include "util/json.hpp"
+#include "sweep/spec.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/time_format.hpp"
 #include "workload/generator.hpp"
-#include "workload/metrics.hpp"
 #include "workload/trace.hpp"
 
 using namespace hc;
@@ -93,76 +87,48 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
     return 0;
 }
 
-core::ScenarioKind parse_scenario(const std::string& name) {
-    if (name == "hybrid") return core::ScenarioKind::kBiStableHybrid;
-    if (name == "static") return core::ScenarioKind::kStaticSplit;
-    if (name == "mono") return core::ScenarioKind::kMonoStable;
-    if (name == "oracle") return core::ScenarioKind::kOracle;
-    std::fprintf(stderr, "dualboot-sim: unknown scenario %s\n", name.c_str());
-    std::exit(1);
+/// A parsed flag value, or exit with the parser's message.
+template <typename T>
+T flag_value_or_die(util::Result<T> parsed) {
+    if (!parsed.ok()) {
+        std::fprintf(stderr, "dualboot-sim: %s\n", parsed.error_message().c_str());
+        std::exit(1);
+    }
+    return std::move(parsed).take();
 }
 
-core::PolicyKind parse_policy(const std::string& name) {
-    if (name == "fcfs") return core::PolicyKind::kFcfs;
-    if (name == "threshold") return core::PolicyKind::kThreshold;
-    if (name == "fair-share") return core::PolicyKind::kFairShare;
-    if (name == "predictive") return core::PolicyKind::kPredictive;
-    if (name == "never") return core::PolicyKind::kNever;
-    if (name == "calendar") return core::PolicyKind::kCalendar;
-    if (name == "burst-aware") return core::PolicyKind::kBurstAware;
-    std::fprintf(stderr, "dualboot-sim: unknown policy %s\n", name.c_str());
-    std::exit(1);
-}
-
-/// Apply an hc-cloud-spec/1 document (or a sweep spec's inline "cloud"
-/// object) to a scenario config: the elastic-partition knobs plus the
-/// burst-aware policy tuning that rides along with them.
-void apply_cloud_block(const util::JsonValue& c, core::ScenarioConfig& cfg) {
-    cfg.cloud.max_burst =
-        static_cast<int>(util::json_num_or(c, "max_burst", cfg.cloud.max_burst));
-    cfg.cloud.provision_delay =
-        sim::seconds(util::json_num_or(c, "provision_s", cfg.cloud.provision_delay.seconds()));
-    cfg.cloud.provision_jitter =
-        util::json_num_or(c, "provision_jitter", cfg.cloud.provision_jitter);
-    cfg.cloud.provision_failure_probability =
-        util::json_num_or(c, "provision_failure", cfg.cloud.provision_failure_probability);
-    cfg.cloud.idle_timeout = sim::seconds(
-        util::json_num_or(c, "idle_timeout_min", cfg.cloud.idle_timeout.seconds() / 60.0) *
-        60.0);
-    cfg.cloud.sweep_interval =
-        sim::seconds(util::json_num_or(c, "sweep_s", cfg.cloud.sweep_interval.seconds()));
-    cfg.cloud.price_per_node_hour =
-        util::json_num_or(c, "price_per_node_hour", cfg.cloud.price_per_node_hour);
-    cfg.cloud.seed = static_cast<std::uint64_t>(
-        util::json_num_or(c, "cloud_seed", static_cast<double>(cfg.cloud.seed)));
-    cfg.burst_cooldown_polls =
-        static_cast<int>(util::json_num_or(c, "cooldown_polls", cfg.burst_cooldown_polls));
-    cfg.burst_drain_estimate_s =
-        util::json_num_or(c, "drain_estimate_s", cfg.burst_drain_estimate_s);
-}
-
-bool load_cloud_spec(const std::string& path, core::ScenarioConfig& cfg) {
+/// Read a whole file into `out`; report and return false when it cannot be
+/// opened.
+bool read_file(const std::string& path, std::string& out) {
     std::ifstream in(path);
     if (!in) {
         std::fprintf(stderr, "dualboot-sim: cannot open %s\n", path.c_str());
         return false;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto parsed = util::JsonReader(buf.str()).parse();
-    if (!parsed.ok() || parsed.value().type != util::JsonValue::Type::kObject ||
-        util::json_str_or(parsed.value(), "schema", "") != "hc-cloud-spec/1") {
-        std::fprintf(stderr, "dualboot-sim: bad cloud spec %s: %s\n", path.c_str(),
-                     parsed.ok() ? "missing schema hc-cloud-spec/1"
-                                 : parsed.error_message().c_str());
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    out = buffer.str();
+    return true;
+}
+
+/// Report a spec the library parser rejected; returns the exit status.
+int bad_spec(const char* kind, const std::string& path, const util::Error& error) {
+    std::fprintf(stderr, "dualboot-sim: bad %s spec %s: %s\n", kind, path.c_str(),
+                 error.to_string().c_str());
+    return 1;
+}
+
+/// Load an hc-fault-plan/1 file.
+bool load_fault_plan(const std::string& path, fault::FaultPlan& out) {
+    std::string text;
+    if (!read_file(path, text)) return false;
+    auto plan = fault::parse_fault_plan(text);
+    if (!plan.ok()) {
+        std::fprintf(stderr, "dualboot-sim: bad fault plan %s: %s\n", path.c_str(),
+                     plan.error_message().c_str());
         return false;
     }
-    apply_cloud_block(parsed.value(), cfg);
-    if (cfg.cloud.max_burst <= 0) {
-        std::fprintf(stderr, "dualboot-sim: cloud spec %s: max_burst must be >= 1\n",
-                     path.c_str());
-        return false;
-    }
+    out = std::move(plan).take();
     return true;
 }
 
@@ -191,8 +157,10 @@ int cmd_run(const std::map<std::string, std::string>& flags,
     cfg.obs.trace = !trace_out.empty();
     cfg.obs.metrics = !metrics_out.empty();
     cfg.obs.journal = !journal_out.empty();
-    cfg.kind = parse_scenario(flag_or(flags, "scenario", std::string("hybrid")));
-    cfg.policy = parse_policy(flag_or(flags, "policy", std::string("fcfs")));
+    cfg.kind = flag_value_or_die(
+        core::parse_scenario_kind(flag_or(flags, "scenario", std::string("hybrid"))));
+    cfg.policy = flag_value_or_die(
+        core::parse_policy_kind(flag_or(flags, "policy", std::string("fcfs"))));
     cfg.node_count = static_cast<int>(flag_or(flags, "nodes", 16.0));
     cfg.linux_nodes = static_cast<int>(flag_or(flags, "linux-nodes",
                                                static_cast<double>(cfg.node_count)));
@@ -207,28 +175,19 @@ int cmd_run(const std::map<std::string, std::string>& flags,
     // Elastic partition: --cloud spec.json arms max_burst cloud slots beside
     // the fixed pools (pair with --policy burst-aware for the decision side).
     const std::string cloud_path = flag_or(flags, "cloud", std::string());
-    if (!cloud_path.empty() && !load_cloud_spec(cloud_path, cfg)) std::exit(1);
+    if (!cloud_path.empty()) {
+        std::string text;
+        if (!read_file(cloud_path, text)) std::exit(1);
+        auto cloud = core::parse_cloud_spec(text, cfg);
+        if (!cloud.ok()) std::exit(bad_spec("cloud", cloud_path, cloud.error()));
+        cfg = std::move(cloud).take();
+    }
 
     // Fault injection: --faults plan.json loads an hc-fault-plan/1 document;
     // recovery defaults to on when faults are present (use --recovery off
     // to watch the failure modes unassisted).
     const std::string faults_path = flag_or(flags, "faults", std::string());
-    if (!faults_path.empty()) {
-        std::ifstream in(faults_path);
-        if (!in) {
-            std::fprintf(stderr, "dualboot-sim: cannot open %s\n", faults_path.c_str());
-            std::exit(1);
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        auto plan = fault::parse_fault_plan(buffer.str());
-        if (!plan.ok()) {
-            std::fprintf(stderr, "dualboot-sim: bad fault plan %s: %s\n", faults_path.c_str(),
-                         plan.error_message().c_str());
-            std::exit(1);
-        }
-        cfg.faults = plan.value();
-    }
+    if (!faults_path.empty() && !load_fault_plan(faults_path, cfg.faults)) std::exit(1);
     const std::string recovery =
         flag_or(flags, "recovery", faults_path.empty() ? std::string("off") : std::string("on"));
     cfg.recovery.enabled = recovery == "on";
@@ -294,196 +253,68 @@ int cmd_run(const std::map<std::string, std::string>& flags,
     return 0;
 }
 
-// ---- sweep: N-seed parallel replica sweep from an hc-sweep-spec/1 file ----
-//
-//   {"schema": "hc-sweep-spec/1",
-//    "scenario": "hybrid", "policy": "fair-share",
-//    "nodes": 16, "linux_nodes": 16, "hours": 20, "poll_minutes": 10,
-//    "version": "v2", "first_seed": 1, "seed_count": 8,
-//    "recovery": "off", "faults": "plan.json",          <- both optional
-//    "workload": {"rate_per_hour": 8, "max_nodes": 4,
-//                 "runtime_scale": 0.25, "trace_seed": 42}}
-//
-// One workload trace is generated from the workload block and shared across
-// all replicas; each replica runs the scenario at seed first_seed + i through
-// the hc::sweep pool. Output (table, aggregates) is identical at any
-// --threads count — only the throughput line changes.
-//
-// An optional `fork` block switches the sweep to a warm-started campaign:
-// one world (seed first_seed) runs the shared prefix to `prefix_hours`, is
-// snapshotted, and every variant resumes from a restored fork. Variants
-// install a policy or arm a fault plan at the fork point (plan event times
-// are offsets relative to it):
-//
-//   "fork": {"prefix_hours": 16,
-//            "variants": [{"label": "stay-fcfs", "policy": "fcfs"},
-//                         {"policy": "fair-share", "cooldown": 3},
-//                         {"faults": "late_plan.json", "seed": 7}]}
-
-/// Load an hc-fault-plan/1 document, resolving relative paths against the
-/// spec file's directory (specs ship next to their plans).
-bool load_fault_plan(const std::string& rel, const std::string& spec_path,
-                     fault::FaultPlan& out) {
-    std::filesystem::path path(rel);
-    if (path.is_relative())
-        path = std::filesystem::path(spec_path).parent_path() / path;
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "dualboot-sim: cannot open fault plan %s\n",
-                     path.string().c_str());
-        return false;
+/// One row per replica: completion, utilisation, waits and OS switches.
+std::string replica_table(const char* first_column,
+                          const std::vector<core::ScenarioResult>& results) {
+    util::Table table({first_column, "done", "util", "mean wait", "wait(W)", "switches"});
+    table.set_alignment({util::Align::kLeft, util::Align::kRight, util::Align::kRight,
+                         util::Align::kRight, util::Align::kRight, util::Align::kRight});
+    for (const auto& r : results) {
+        const auto& s = r.summary;
+        table.add_row({r.label, std::to_string(s.completed) + "/" + std::to_string(s.submitted),
+                       util::format_fixed(s.utilisation * 100.0, 1) + "%",
+                       util::format_duration(static_cast<std::int64_t>(s.mean_wait_s)),
+                       util::format_duration(static_cast<std::int64_t>(s.mean_wait_windows_s)),
+                       std::to_string(s.os_switches)});
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto plan = fault::parse_fault_plan(buf.str());
-    if (!plan.ok()) {
-        std::fprintf(stderr, "dualboot-sim: bad fault plan %s: %s\n", path.string().c_str(),
-                     plan.error_message().c_str());
-        return false;
-    }
-    out = plan.value();
-    return true;
+    return table.render();
 }
 
-int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::string>& flags) {
-    std::ifstream in(spec_path);
-    if (!in) {
-        std::fprintf(stderr, "dualboot-sim: cannot open %s\n", spec_path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    auto parsed = util::JsonReader(text).parse();
-    if (!parsed.ok() || parsed.value().type != util::JsonValue::Type::kObject ||
-        util::json_str_or(parsed.value(), "schema", "") != "hc-sweep-spec/1") {
-        std::fprintf(stderr, "dualboot-sim: bad sweep spec %s: %s\n", spec_path.c_str(),
-                     parsed.ok() ? "missing schema hc-sweep-spec/1"
-                                 : parsed.error_message().c_str());
-        return 1;
-    }
-    const util::JsonValue& spec = parsed.value();
+// ---- sweep: N-seed parallel replica sweep from an hc-sweep-spec/1 file ----
+//
+// Output (table, aggregates) is identical at any --threads count; only the
+// pool line changes.
+int cmd_sweep(const std::string& spec_path, const std::string& text,
+              const std::map<std::string, std::string>& flags) {
+    auto parsed = sweep::parse_sweep_spec(text, std::filesystem::path(spec_path).parent_path());
+    if (!parsed.ok()) return bad_spec("sweep", spec_path, parsed.error());
+    sweep::SweepSpec& spec = parsed.value();
+    core::ScenarioConfig& base = spec.base;
+    if (!spec.faults_path.empty() && !load_fault_plan(spec.faults_path, base.faults)) return 1;
 
-    core::ScenarioConfig base;
-    base.kind = parse_scenario(util::json_str_or(spec, "scenario", "hybrid"));
-    base.policy = parse_policy(util::json_str_or(spec, "policy", "fcfs"));
-    base.node_count = static_cast<int>(util::json_num_or(spec, "nodes", 16));
-    base.linux_nodes =
-        static_cast<int>(util::json_num_or(spec, "linux_nodes", base.node_count));
-    base.version = util::json_str_or(spec, "version", "v2") == "v1"
-                       ? deploy::MiddlewareVersion::kV1
-                       : deploy::MiddlewareVersion::kV2;
-    base.poll_interval = sim::minutes(util::json_num_or(spec, "poll_minutes", 10));
-    base.horizon = sim::hours(util::json_num_or(spec, "hours", 20));
-    base.fair_share_cooldown = static_cast<int>(util::json_num_or(spec, "cooldown", 0));
-
-    // Optional inline elastic-partition block (same knobs as hc-cloud-spec/1).
-    if (const util::JsonValue* c = spec.find("cloud"); c != nullptr) {
-        if (c->type != util::JsonValue::Type::kObject) {
-            std::fprintf(stderr, "dualboot-sim: bad sweep spec %s: cloud must be an object\n",
-                         spec_path.c_str());
-            return 1;
-        }
-        apply_cloud_block(*c, base);
-    }
-
-    // Optional fault plan, resolved relative to the spec file's directory so
-    // specs can ship next to their plans.
-    const std::string faults_rel = util::json_str_or(spec, "faults", "");
-    if (!faults_rel.empty() && !load_fault_plan(faults_rel, spec_path, base.faults)) return 1;
-    base.recovery.enabled =
-        util::json_str_or(spec, "recovery", faults_rel.empty() ? "off" : "on") == "on";
-
-    // Shared workload trace (one copy across all replicas). The arrival
-    // knobs (rate, bursts, diurnal shape) parse through the same
-    // workload::parse_arrival_spec as hc-serve-spec/1 documents.
-    workload::GeneratorConfig wl;
-    std::uint64_t trace_seed = 42;
-    if (const util::JsonValue* w = spec.find("workload");
-        w != nullptr && w->type == util::JsonValue::Type::kObject) {
-        auto arrival = workload::parse_arrival_spec(*w);
-        if (!arrival.ok()) {
-            std::fprintf(stderr, "dualboot-sim: bad sweep spec %s: %s\n", spec_path.c_str(),
-                         arrival.error_message().c_str());
-            return 1;
-        }
-        wl.arrival = arrival.value();
-        wl.max_nodes = static_cast<int>(util::json_num_or(*w, "max_nodes", 4));
-        wl.runtime_scale = util::json_num_or(*w, "runtime_scale", 0.25);
-        trace_seed = static_cast<std::uint64_t>(util::json_num_or(*w, "trace_seed", 42));
-    }
-    wl.horizon = base.horizon;
-    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), wl, trace_seed);
+    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), spec.workload.config,
+                                    spec.workload.seed);
     auto trace = std::make_shared<const std::vector<workload::JobSpec>>(gen.generate());
-
-    const auto first_seed = static_cast<std::uint64_t>(util::json_num_or(spec, "first_seed", 1));
-    const auto seed_count = static_cast<std::uint64_t>(util::json_num_or(spec, "seed_count", 4));
-    if (seed_count == 0) {
-        std::fprintf(stderr, "dualboot-sim: seed_count must be >= 1\n");
-        return 1;
-    }
+    const std::uint64_t first_seed = spec.first_seed;
+    const std::uint64_t seed_count = spec.seed_count;
     const int threads = static_cast<int>(flag_or(flags, "threads", 0.0));
 
     // Warm-started campaign: `fork` replaces the seed fan-out (the shared
     // prefix runs at first_seed; per-variant diversity comes only from the
     // divergence applied at the fork point).
-    if (const util::JsonValue* fork = spec.find("fork"); fork != nullptr) {
-        if (fork->type != util::JsonValue::Type::kObject) {
-            std::fprintf(stderr, "dualboot-sim: bad sweep spec %s: fork must be an object\n",
-                         spec_path.c_str());
-            return 1;
-        }
+    if (spec.fork.has_value()) {
         const double horizon_h = static_cast<double>(base.horizon.ms) / 3'600'000.0;
-        const double prefix_h = util::json_num_or(*fork, "prefix_hours", horizon_h / 2);
+        const double prefix_h = spec.fork->prefix_hours;
         sweep::ForkCampaign campaign;
         campaign.base = base;
         campaign.base.seed = first_seed;
         campaign.trace = trace;
         campaign.fork_at = sim::TimePoint{} + sim::hours(prefix_h);
-        const util::JsonValue* variants = fork->find("variants");
-        if (variants == nullptr || variants->type != util::JsonValue::Type::kArray ||
-            variants->array.empty()) {
-            std::fprintf(stderr,
-                         "dualboot-sim: bad sweep spec %s: fork.variants must be a "
-                         "non-empty array\n",
-                         spec_path.c_str());
-            return 1;
-        }
-        for (const util::JsonValue& v : variants->array) {
-            if (v.type != util::JsonValue::Type::kObject) {
-                std::fprintf(stderr,
-                             "dualboot-sim: bad sweep spec %s: fork variant must be an "
-                             "object\n",
-                             spec_path.c_str());
-                return 1;
-            }
-            const std::string policy_name = util::json_str_or(v, "policy", "");
-            const std::string plan_rel = util::json_str_or(v, "faults", "");
-            std::string label = util::json_str_or(v, "label", "");
-            if (!policy_name.empty()) {
-                const core::PolicyKind policy = parse_policy(policy_name);
-                const int cooldown = static_cast<int>(util::json_num_or(v, "cooldown", -1));
-                campaign.variants.push_back([policy, cooldown](core::ScenarioWorld& world) {
-                    world.hybrid().set_policy(policy, cooldown);
-                });
-                if (label.empty()) label = policy_name;
-            } else if (!plan_rel.empty()) {
-                fault::FaultPlan plan;
-                if (!load_fault_plan(plan_rel, spec_path, plan)) return 1;
-                const auto seed =
-                    static_cast<std::uint64_t>(util::json_num_or(v, "seed", 1));
-                campaign.variants.push_back([plan, seed](core::ScenarioWorld& world) {
-                    world.hybrid().arm_faults(plan, seed);
-                });
-                if (label.empty()) label = "faults-" + std::to_string(seed);
+        for (const sweep::ForkVariantSpec& v : spec.fork->variants) {
+            if (v.policy.has_value()) {
+                campaign.variants.push_back(
+                    [policy = *v.policy, cooldown = v.cooldown](core::ScenarioWorld& world) {
+                        world.hybrid().set_policy(policy, cooldown);
+                    });
             } else {
-                std::fprintf(stderr,
-                             "dualboot-sim: bad sweep spec %s: fork variant needs "
-                             "\"policy\" or \"faults\"\n",
-                             spec_path.c_str());
-                return 1;
+                fault::FaultPlan plan;
+                if (!load_fault_plan(v.faults_path, plan)) return 1;
+                campaign.variants.push_back(
+                    [plan = std::move(plan), seed = v.seed](core::ScenarioWorld& world) {
+                        world.hybrid().arm_faults(plan, seed);
+                    });
             }
-            campaign.labels.push_back(label);
+            campaign.labels.push_back(v.label);
         }
 
         sweep::ForkStats fs;
@@ -492,20 +323,7 @@ int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::str
                     "%.1f h, %zu jobs\n",
                     core::scenario_kind_name(base.kind), campaign.variants.size(), prefix_h,
                     horizon_h, trace->size());
-        util::Table table({"variant", "done", "util", "mean wait", "wait(W)", "switches"});
-        table.set_alignment({util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-                             util::Align::kRight, util::Align::kRight, util::Align::kRight});
-        for (const auto& r : out.results) {
-            const auto& s = r.summary;
-            table.add_row({r.label,
-                           std::to_string(s.completed) + "/" + std::to_string(s.submitted),
-                           util::format_fixed(s.utilisation * 100.0, 1) + "%",
-                           util::format_duration(static_cast<std::int64_t>(s.mean_wait_s)),
-                           util::format_duration(
-                               static_cast<std::int64_t>(s.mean_wait_windows_s)),
-                           std::to_string(s.os_switches)});
-        }
-        std::printf("%s", table.render().c_str());
+        std::printf("%s", replica_table("variant", out.results).c_str());
         std::printf("pool      : %zu replica(s) on %d thread(s), %.1f ms wall "
                     "(%.1f replicas/s)\n",
                     out.stats.replicas, out.stats.threads, out.stats.wall_ms,
@@ -531,23 +349,14 @@ int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::str
                 static_cast<unsigned long long>(seed_count),
                 static_cast<unsigned long long>(first_seed),
                 static_cast<unsigned long long>(first_seed + seed_count - 1), trace->size());
-    util::Table table({"replica", "done", "util", "mean wait", "wait(W)", "switches"});
-    table.set_alignment({util::Align::kLeft, util::Align::kRight, util::Align::kRight,
-                         util::Align::kRight, util::Align::kRight, util::Align::kRight});
+    std::printf("%s", replica_table("replica", out.results).c_str());
     double util_sum = 0;
     std::size_t completed_sum = 0, submitted_sum = 0;
     for (const auto& r : out.results) {
-        const auto& s = r.summary;
-        table.add_row({r.label, std::to_string(s.completed) + "/" + std::to_string(s.submitted),
-                       util::format_fixed(s.utilisation * 100.0, 1) + "%",
-                       util::format_duration(static_cast<std::int64_t>(s.mean_wait_s)),
-                       util::format_duration(static_cast<std::int64_t>(s.mean_wait_windows_s)),
-                       std::to_string(s.os_switches)});
-        util_sum += s.utilisation;
-        completed_sum += s.completed;
-        submitted_sum += s.submitted;
+        util_sum += r.summary.utilisation;
+        completed_sum += r.summary.completed;
+        submitted_sum += r.summary.submitted;
     }
-    std::printf("%s", table.render().c_str());
     if (base.cloud.max_burst > 0) {
         std::uint64_t bursts = 0, provisioned = 0, released = 0;
         double node_hours = 0, cost = 0;
@@ -581,108 +390,23 @@ int cmd_sweep(const std::string& spec_path, const std::map<std::string, std::str
 
 // ---- grid: sharded campus-grid federation from an hc-grid-spec/1 file ----
 //
-//   {"schema": "hc-grid-spec/1",
-//    "routing": "least-pressure", "epoch_minutes": 10,
-//    "hours": 24, "threads": 2,
-//    "members": [{"name": "tauceti", "kind": "dedicated-linux", "nodes": 16},
-//                {"name": "vega", "kind": "dedicated-windows", "nodes": 8},
-//                {"name": "eridani", "kind": "hybrid", "nodes": 16,
-//                 "policy": "fair-share", "cores_per_node": 4}],
-//    "workload": {"rate_per_hour": 6, "max_nodes": 4,
-//                 "runtime_scale": 0.25, "trace_seed": 42}}
-//
-// Every member runs as an independent shard (own engine + arena) advanced in
-// parallel by grid::FederatedGrid; routing happens at epoch boundaries. The
-// grid ledger is byte-identical at any --threads count — threads only move
-// the wall-clock line.
-int cmd_grid(const std::string& spec_path, const std::map<std::string, std::string>& flags) {
-    std::ifstream in(spec_path);
-    if (!in) {
-        std::fprintf(stderr, "dualboot-sim: cannot open %s\n", spec_path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = util::JsonReader(buffer.str()).parse();
-    if (!parsed.ok() || parsed.value().type != util::JsonValue::Type::kObject ||
-        util::json_str_or(parsed.value(), "schema", "") != "hc-grid-spec/1") {
-        std::fprintf(stderr, "dualboot-sim: bad grid spec %s: %s\n", spec_path.c_str(),
-                     parsed.ok() ? "missing schema hc-grid-spec/1"
-                                 : parsed.error_message().c_str());
-        return 1;
-    }
-    const util::JsonValue& spec = parsed.value();
-
-    const auto routing = grid::parse_routing_rule(
-        util::json_str_or(spec, "routing", "least-pressure"));
-    if (!routing.ok()) {
-        std::fprintf(stderr, "dualboot-sim: bad grid spec %s: %s\n", spec_path.c_str(),
-                     routing.error_message().c_str());
-        return 1;
-    }
-    grid::FederationConfig config;
-    config.rule = routing.value();
-    config.epoch = sim::minutes(util::json_num_or(spec, "epoch_minutes", 10));
-    if (config.epoch.ms <= 0) {
-        std::fprintf(stderr, "dualboot-sim: bad grid spec %s: epoch_minutes must be > 0\n",
-                     spec_path.c_str());
-        return 1;
-    }
-    const double hours = util::json_num_or(spec, "hours", 24);
+// The grid ledger is byte-identical at any --threads count; threads only
+// move the wall-clock line.
+int cmd_grid(const std::string& spec_path, const std::string& text,
+              const std::map<std::string, std::string>& flags) {
+    auto parsed = grid::parse_grid_spec(text);
+    if (!parsed.ok()) return bad_spec("grid", spec_path, parsed.error());
+    grid::GridSpec& spec = parsed.value();
+    const double hours = spec.hours;
+    grid::FederationConfig& config = spec.config;
     // The CLI flag wins over the spec's suggestion, matching `sweep`.
-    config.threads = static_cast<int>(
-        flag_or(flags, "threads", util::json_num_or(spec, "threads", 1)));
-
-    const util::JsonValue* members = spec.find("members");
-    if (members == nullptr || members->type != util::JsonValue::Type::kArray ||
-        members->array.empty()) {
-        std::fprintf(stderr,
-                     "dualboot-sim: bad grid spec %s: members must be a non-empty array\n",
-                     spec_path.c_str());
-        return 1;
-    }
+    config.threads =
+        static_cast<int>(flag_or(flags, "threads", static_cast<double>(config.threads)));
     grid::FederatedGrid fed(config);
-    for (const util::JsonValue& m : members->array) {
-        if (m.type != util::JsonValue::Type::kObject) {
-            std::fprintf(stderr, "dualboot-sim: bad grid spec %s: member must be an object\n",
-                         spec_path.c_str());
-            return 1;
-        }
-        grid::MemberSpec member;
-        member.name = util::json_str_or(m, "name", "");
-        const auto kind = grid::parse_member_kind(util::json_str_or(m, "kind", "hybrid"));
-        if (member.name.empty() || !kind.ok()) {
-            std::fprintf(stderr, "dualboot-sim: bad grid spec %s: %s\n", spec_path.c_str(),
-                         member.name.empty() ? "member needs a name"
-                                             : kind.error_message().c_str());
-            return 1;
-        }
-        member.kind = kind.value();
-        member.nodes = static_cast<int>(util::json_num_or(m, "nodes", 16));
-        member.hybrid_policy = parse_policy(util::json_str_or(m, "policy", "fair-share"));
-        member.cores_per_node = static_cast<int>(util::json_num_or(m, "cores_per_node", 4));
-        fed.add_member(std::move(member));
-    }
+    for (grid::MemberSpec& member : spec.members) fed.add_member(std::move(member));
 
-    // Shared arrival knobs (workload::parse_arrival_spec) — the same block
-    // hc-sweep-spec/1 and hc-serve-spec/1 use.
-    workload::GeneratorConfig wl;
-    std::uint64_t trace_seed = 42;
-    if (const util::JsonValue* w = spec.find("workload");
-        w != nullptr && w->type == util::JsonValue::Type::kObject) {
-        auto arrival = workload::parse_arrival_spec(*w);
-        if (!arrival.ok()) {
-            std::fprintf(stderr, "dualboot-sim: bad grid spec %s: %s\n", spec_path.c_str(),
-                         arrival.error_message().c_str());
-            return 1;
-        }
-        wl.arrival = arrival.value();
-        wl.max_nodes = static_cast<int>(util::json_num_or(*w, "max_nodes", 4));
-        wl.runtime_scale = util::json_num_or(*w, "runtime_scale", 0.25);
-        trace_seed = static_cast<std::uint64_t>(util::json_num_or(*w, "trace_seed", 42));
-    }
-    wl.horizon = sim::hours(hours);
-    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), wl, trace_seed);
+    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), spec.workload.config,
+                                    spec.workload.seed);
     auto trace = gen.generate();
 
     fed.start();
@@ -726,20 +450,10 @@ int cmd_grid(const std::string& spec_path, const std::map<std::string, std::stri
 // simulated client fleet, and runs the service until the spec's horizon —
 // reporting sustained submissions, query tail latency, and detector
 // staleness from the hc::obs metrics the service maintains.
-int cmd_serve(const std::string& spec_path, const std::map<std::string, std::string>& flags) {
-    std::ifstream in(spec_path);
-    if (!in) {
-        std::fprintf(stderr, "dualboot-sim: cannot open %s\n", spec_path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto spec = serve::parse_serve_spec(buffer.str());
-    if (!spec.ok()) {
-        std::fprintf(stderr, "dualboot-sim: bad serve spec %s: %s\n", spec_path.c_str(),
-                     spec.error_message().c_str());
-        return 1;
-    }
+int cmd_serve(const std::string& spec_path, const std::string& text,
+              const std::map<std::string, std::string>& flags) {
+    auto spec = serve::parse_serve_spec(text);
+    if (!spec.ok()) return bad_spec("serve", spec_path, spec.error());
     const serve::ServeSpec& s = spec.value();
     std::printf("serve     : %d client(s) on %d %s node(s), %.2f h, seed %llu\n", s.clients,
                 s.nodes, s.backend == serve::BackendKind::kPbs ? "pbs" : "winhpc", s.hours,
@@ -782,31 +496,20 @@ int main(int argc, char** argv) {
 
     if (command == "generate") return cmd_generate(flags);
 
-    if (command == "sweep") {
+    using SpecCommand = int (*)(const std::string&, const std::string&,
+                                const std::map<std::string, std::string>&);
+    for (const auto& [name, run_spec] : {std::pair<const char*, SpecCommand>{"sweep", cmd_sweep},
+                                         {"grid", cmd_grid},
+                                         {"serve", cmd_serve}}) {
+        if (command != name) continue;
         const std::string spec = flag_or(flags, "spec", std::string());
         if (spec.empty()) {
-            std::fprintf(stderr, "dualboot-sim sweep: --spec FILE is required\n");
+            std::fprintf(stderr, "dualboot-sim %s: --spec FILE is required\n", name);
             return 1;
         }
-        return cmd_sweep(spec, flags);
-    }
-
-    if (command == "grid") {
-        const std::string spec = flag_or(flags, "spec", std::string());
-        if (spec.empty()) {
-            std::fprintf(stderr, "dualboot-sim grid: --spec FILE is required\n");
-            return 1;
-        }
-        return cmd_grid(spec, flags);
-    }
-
-    if (command == "serve") {
-        const std::string spec = flag_or(flags, "spec", std::string());
-        if (spec.empty()) {
-            std::fprintf(stderr, "dualboot-sim serve: --spec FILE is required\n");
-            return 1;
-        }
-        return cmd_serve(spec, flags);
+        std::string text;
+        if (!read_file(spec, text)) return 1;
+        return run_spec(spec, text, flags);
     }
 
     if (command == "case-study")
@@ -819,14 +522,9 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "dualboot-sim run: --trace FILE is required\n");
             return 1;
         }
-        std::ifstream in(path);
-        if (!in) {
-            std::fprintf(stderr, "dualboot-sim: cannot open %s\n", path.c_str());
-            return 1;
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        auto trace = workload::parse_trace(buffer.str());
+        std::string text;
+        if (!read_file(path, text)) return 1;
+        auto trace = workload::parse_trace(text);
         if (!trace) {
             std::fprintf(stderr, "dualboot-sim: bad trace: %s\n",
                          trace.error_message().c_str());
