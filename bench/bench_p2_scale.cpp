@@ -67,7 +67,7 @@ ScaleRow measure_scale(int nodes, bool quick) {
                        }) /
                        cycle_reps * 1e6;
 
-        core::PbsDetector detector(bed->server, /*incremental=*/true);
+        core::PbsDetector detector(bed->server);
         (void)detector.check();  // first poll pays the full sync
         const int poll_reps = quick ? 200 : 2'000;
         const auto renders_before = bed->server.text_stats().node_stanza_renders;

@@ -111,7 +111,7 @@ struct P2Testbed {
 inline P2Counters run_p2_stream(const P2StreamConfig& cfg) {
     P2Testbed bed(cfg.node_count, cfg.retention);
     bed.server.enable_consistency_checks(cfg.consistency_checks);
-    core::PbsDetector detector(bed.server, /*incremental=*/true);
+    core::PbsDetector detector(bed.server);
     util::Rng rng(cfg.seed);
 
     const std::uint64_t batch =

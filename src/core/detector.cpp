@@ -1,5 +1,6 @@
 #include "core/detector.hpp"
 
+#include "util/errors.hpp"
 #include "util/strings.hpp"
 #include "util/time_format.hpp"
 
@@ -15,14 +16,11 @@ PbsDetector::PbsDetector(TextProvider qstat_f, TextProvider pbsnodes,
       unix_clock_(std::move(unix_clock)) {}
 
 PbsDetector::PbsDetector(const pbs::PbsServer& server)
-    : PbsDetector(
-          [&server] { return server.qstat_f_output(); },
-          [&server] { return server.pbsnodes_output(); },
-          [&server] { return const_cast<pbs::PbsServer&>(server).engine().unix_now(); }) {}
+    : unix_clock_([&server] { return const_cast<pbs::PbsServer&>(server).engine().unix_now(); }),
+      doc_server_(&server) {}
 
-PbsDetector::PbsDetector(const pbs::PbsServer& server, bool incremental)
-    : PbsDetector(server) {
-    if (incremental) doc_server_ = &server;
+PbsDetector::PbsDetector(const pbs::PbsServer& server, bool incremental) : PbsDetector(server) {
+    util::require(incremental, "PbsDetector: a server-wired detector always streams");
 }
 
 Result<PbsDetector::QstatParse> PbsDetector::parse_qstat_f(const std::string& text) {
@@ -111,27 +109,8 @@ int PbsDetector::count_idle_nodes(const std::string& pbsnodes_text) {
 
 QueueSnapshot PbsDetector::check() {
     ++poll_stats_.polls;
-    // Text faults mangle a whole scraped string, so they force the
-    // whole-string path; the streaming mode has nothing to mangle.
-    if (doc_server_ != nullptr && !text_fault_) return check_incremental();
-    return check_full_text();
-}
-
-QueueSnapshot PbsDetector::check_full_text() {
-    std::string qstat = qstat_f_();
-    if (text_fault_) qstat = text_fault_(std::move(qstat));
-    std::string nodes = pbsnodes_();
-    if (!has_parse_ || qstat != last_qstat_text_) {
-        last_parse_ = parse_qstat_f(qstat);
-        last_qstat_text_ = std::move(qstat);
-        has_parse_ = true;
-    }
-    if (!has_idle_ || nodes != last_pbsnodes_text_) {
-        last_idle_nodes_ = count_idle_nodes(nodes);
-        last_pbsnodes_text_ = std::move(nodes);
-        has_idle_ = true;
-    }
-    return snapshot_from_parse(last_parse_, last_idle_nodes_);
+    if (doc_server_ != nullptr) return check_incremental();
+    return snapshot_from_parse(parse_qstat_f(qstat_f_()), count_idle_nodes(pbsnodes_()));
 }
 
 PbsDetector::JobStanza PbsDetector::parse_job_stanza(const std::string& text) {

@@ -37,28 +37,25 @@ class PbsDetector : public Detector {
 public:
     using TextProvider = std::function<std::string()>;
 
-    /// Wire to arbitrary text sources (tests feed canned listings).
+    /// Whole-string scraper over arbitrary text sources: canned listings
+    /// (`tools/checkqueue`, tests) and the reference oracle the streaming
+    /// path is checked against. Every poll re-parses both texts.
     PbsDetector(TextProvider qstat_f, TextProvider pbsnodes,
                 std::function<std::int64_t()> unix_clock);
 
-    /// Convenience wiring to a live server — still via its text layer only.
+    /// Live wiring: consume the server's chunked text documents and re-parse
+    /// only the stanzas that changed since the last poll (falling back to a
+    /// full walk when the change journal was trimmed). Still a scraper — it
+    /// reads stanza *text*, never server internals — and produces snapshots
+    /// identical to the whole-string path.
     explicit PbsDetector(const pbs::PbsServer& server);
 
-    /// Streaming wiring to a live server: consume the server's chunked text
-    /// documents and re-parse only the stanzas that changed since the last
-    /// poll (falling back to a full walk when the change journal was
-    /// trimmed). Still a scraper — it reads stanza *text*, never server
-    /// internals — and produces snapshots identical to the full-text path.
+    /// Compatibility overload for callers that still spell the streaming
+    /// mode out; `incremental` must be true.
     PbsDetector(const pbs::PbsServer& server, bool incremental);
 
     [[nodiscard]] QueueSnapshot check() override;
     [[nodiscard]] std::string name() const override { return "checkqueue.pl"; }
-
-    /// Fault injection: mangle the scraped qstat -f text before parsing
-    /// (truncation, garbage, empty string). The detector must degrade to a
-    /// calm "other state" report rather than crash — see check().
-    using TextFault = std::function<std::string(std::string)>;
-    void set_text_fault(TextFault fault) { text_fault_ = std::move(fault); }
 
     /// Parse a qstat -f listing into (running, queued, first-queued id,
     /// first-queued CPUs, first-running job block). Exposed for tests.
@@ -95,7 +92,6 @@ private:
         char state = '?';
     };
 
-    [[nodiscard]] QueueSnapshot check_full_text();
     [[nodiscard]] QueueSnapshot check_incremental();
     [[nodiscard]] QueueSnapshot snapshot_from_parse(const util::Result<QstatParse>& parsed,
                                                     int idle_nodes);
@@ -106,9 +102,8 @@ private:
     TextProvider qstat_f_;
     TextProvider pbsnodes_;
     std::function<std::int64_t()> unix_clock_;
-    TextFault text_fault_;
 
-    // Streaming mode (null when scraping whole strings). Aggregates are
+    // Streaming cursor (null server for a whole-string scraper). Aggregates are
     // maintained incrementally from per-chunk parses, so a poll's cost is
     // proportional to what changed, not to cluster or queue size.
     const pbs::PbsServer* doc_server_ = nullptr;
@@ -123,22 +118,10 @@ private:
     std::vector<std::uint64_t> changed_buf_;
     PollStats poll_stats_;
 
-    // Parse cache keyed on string equality: the server memoizes its renders,
-    // so steady-state polls see byte-identical text and re-parsing it would
-    // dominate the poll cost. Comparing the text (never peeking at server
-    // internals) keeps the detector an honest scraper.
-    std::string last_qstat_text_;
-    util::Result<QstatParse> last_parse_{QstatParse{}};
-    bool has_parse_ = false;
-    std::string last_pbsnodes_text_;
-    int last_idle_nodes_ = 0;
-    bool has_idle_ = false;
-
 public:
     /// World-snapshot hook: the streaming cursor (doc versions + per-stanza
-    /// aggregates) and the parse caches. Restoring alongside the server's
-    /// own restore keeps the incremental path's "parse only what changed"
-    /// guarantee intact across a fork.
+    /// aggregates). Restoring alongside the server's own restore keeps the
+    /// "parse only what changed" guarantee intact across a fork.
     struct SavedState {
         bool doc_synced = false;
         std::uint64_t qstat_doc_version = 0;
@@ -149,18 +132,10 @@ public:
         std::map<std::uint64_t, bool> node_idle;
         int idle_count = 0;
         PollStats poll_stats;
-        std::string last_qstat_text;
-        util::Result<QstatParse> last_parse{QstatParse{}};
-        bool has_parse = false;
-        std::string last_pbsnodes_text;
-        int last_idle_nodes = 0;
-        bool has_idle = false;
     };
     [[nodiscard]] SavedState save_state() const {
-        return {doc_synced_,      qstat_doc_version_, nodes_doc_version_, job_stanzas_,
-                queued_keys_,     running_keys_,      node_idle_,         idle_count_,
-                poll_stats_,      last_qstat_text_,   last_parse_,        has_parse_,
-                last_pbsnodes_text_, last_idle_nodes_, has_idle_};
+        return {doc_synced_,   qstat_doc_version_, nodes_doc_version_, job_stanzas_, queued_keys_,
+                running_keys_, node_idle_,         idle_count_,        poll_stats_};
     }
     void restore_state(const SavedState& s) {
         doc_synced_ = s.doc_synced;
@@ -172,12 +147,6 @@ public:
         node_idle_ = s.node_idle;
         idle_count_ = s.idle_count;
         poll_stats_ = s.poll_stats;
-        last_qstat_text_ = s.last_qstat_text;
-        last_parse_ = s.last_parse;
-        has_parse_ = s.has_parse;
-        last_pbsnodes_text_ = s.last_pbsnodes_text;
-        last_idle_nodes_ = s.last_idle_nodes;
-        has_idle_ = s.has_idle;
     }
 };
 

@@ -79,7 +79,7 @@ public:
     }
 
     [[nodiscard]] std::unique_ptr<core::Detector> make_detector() const override {
-        return std::make_unique<core::PbsDetector>(server_, /*incremental=*/true);
+        return std::make_unique<core::PbsDetector>(server_);
     }
 
     [[nodiscard]] BackendTotals totals() const override {

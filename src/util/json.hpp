@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,48 +59,60 @@ struct JsonValue {
 inline constexpr int kSpecCountMax = 1'000'000;
 inline constexpr double kSpecHoursMax = 1e6;
 
-/// Range-checked integer member, the one way loaders narrow a JSON number.
+/// Range-checked narrowing of one number named `name`: the one way a loaded
+/// value becomes a count or a span (json_read_int and json_read_num below,
+/// and the dualboot_sim numeric flags). An integer is truncated toward zero
+/// like a static_cast, but only after checking that it is finite and lies
+/// within [lo, hi], so an out-of-range double never reaches the cast, which
+/// would be undefined behaviour. A real outside [lo, hi] (including the inf
+/// and nan strtod accepts) is an error too: loaders bound every value they
+/// turn into a sim::Duration, whose integer milliseconds a huge double would
+/// overflow. On error `out` keeps its value.
+template <typename T>
+[[nodiscard]] Status read_number(std::string_view name, double number, T& out, T lo, T hi) {
+    if constexpr (std::is_integral_v<T>) {
+        // 2^digits is the first double past the type's maximum (the maximum
+        // itself may round up to it), so the cast below is always defined.
+        constexpr double kTop = static_cast<double>(std::numeric_limits<T>::max() / 2 + 1) * 2.0;
+        const double t = std::trunc(number);  // NaN stays NaN and fails the test
+        if (t >= static_cast<double>(std::numeric_limits<T>::min()) && t < kTop) {
+            const T n = static_cast<T>(t);
+            if (n >= lo && n <= hi) {
+                out = n;
+                return {};
+            }
+        }
+        return Error{std::string(name) + " must be an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]"};
+    } else {
+        if (!(number >= lo && number <= hi)) {
+            char range[64];
+            std::snprintf(range, sizeof range, " must be in [%g, %g]", lo, hi);
+            return Error{std::string(name) + range};
+        }
+        out = number;
+        return {};
+    }
+}
+
+/// Range-checked integer member (by default [lo, hi] is the whole of Int).
 /// Absent or not a number: `out` keeps its value (the caller's default), as
-/// with json_num_or. A number is truncated toward zero like a static_cast,
-/// but only after checking that it is finite and lies within [lo, hi] (by
-/// default the whole of Int), so an out-of-range double never reaches the
-/// cast, which would be undefined behaviour.
+/// with json_num_or.
 template <typename Int>
 [[nodiscard]] Status json_read_int(const JsonValue& obj, std::string_view key, Int& out,
                                    Int lo = std::numeric_limits<Int>::min(),
                                    Int hi = std::numeric_limits<Int>::max()) {
     const JsonValue* v = obj.find(key);
     if (v == nullptr || v->type != JsonValue::Type::kNumber) return {};
-    // 2^digits is the first double past the type's maximum (the maximum
-    // itself may round up to it), so the cast below is always defined.
-    constexpr double kTop = static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1) * 2.0;
-    const double t = std::trunc(v->number);  // NaN stays NaN and fails the test
-    if (t >= static_cast<double>(std::numeric_limits<Int>::min()) && t < kTop) {
-        const Int n = static_cast<Int>(t);
-        if (n >= lo && n <= hi) {
-            out = n;
-            return {};
-        }
-    }
-    return Error{std::string(key) + " must be an integer in [" + std::to_string(lo) + ", " +
-                 std::to_string(hi) + "]"};
+    return read_number(key, v->number, out, lo, hi);
 }
 
-/// Range-checked real member: absent or not a number leaves `out` as is; a
-/// value outside [lo, hi] (including the inf and nan strtod accepts) is an
-/// error. Loaders bound every value they turn into a sim::Duration, whose
-/// integer milliseconds a huge double would overflow.
+/// Range-checked real member: absent or not a number leaves `out` as is.
 [[nodiscard]] inline Status json_read_num(const JsonValue& obj, std::string_view key,
                                           double& out, double lo, double hi) {
     const JsonValue* v = obj.find(key);
     if (v == nullptr || v->type != JsonValue::Type::kNumber) return {};
-    if (!(v->number >= lo && v->number <= hi)) {
-        char range[64];
-        std::snprintf(range, sizeof range, " must be in [%g, %g]", lo, hi);
-        return Error{std::string(key) + range};
-    }
-    out = v->number;
-    return {};
+    return read_number(key, v->number, out, lo, hi);
 }
 
 /// Qualify a member's error with the JSON path of the object holding it

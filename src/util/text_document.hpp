@@ -10,8 +10,9 @@
 // re-parsing megabytes of assembled text per poll.
 //
 // The full string is still available via text() for humans, tools, and the
-// legacy scraping path; it is assembled lazily and memoized against the
-// document version, so steady-state readers share one buffer.
+// whole-string scraper that serves as the detector's reference oracle; it is
+// assembled lazily and memoized against the document version, so
+// steady-state readers share one buffer.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/detector.hpp"
+#include "util/errors.hpp"
 
 namespace hc::core {
 namespace {
@@ -166,6 +167,45 @@ TEST_F(DetectorFixture, PbsDetectorSurvivesGarbageText) {
     const QueueSnapshot snap = detector.check();
     EXPECT_FALSE(snap.record.stuck);  // fails safe
     EXPECT_NE(snap.debug_text.find("parse error"), std::string::npos);
+}
+
+TEST_F(DetectorFixture, ServerWiredDetectorStreamsChangedStanzasOnly) {
+    boot_all(OsType::kLinux);
+    pbs::JobScript script;
+    script.resources.ppn = 4;
+    pbs::JobBehavior behavior;
+    behavior.run_time = sim::hours(1);
+    ASSERT_TRUE(pbs.submit(script, "u", std::move(behavior)).ok());
+
+    PbsDetector detector(pbs);
+    const QueueSnapshot first = detector.check();
+    // The first poll walks both documents: one resync each.
+    EXPECT_EQ(detector.poll_stats().resyncs, 2u);
+    const std::uint64_t synced_parses = detector.poll_stats().stanza_parses;
+    EXPECT_EQ(synced_parses, 5u);  // four node stanzas and one job stanza
+
+    // Nothing moved: the second poll re-parses no stanza and does not resync.
+    const QueueSnapshot second = detector.check();
+    EXPECT_EQ(detector.poll_stats().polls, 2u);
+    EXPECT_EQ(detector.poll_stats().resyncs, 2u);
+    EXPECT_EQ(detector.poll_stats().stanza_parses, synced_parses);
+    EXPECT_EQ(second.debug_text, first.debug_text);
+
+    // And it reads exactly what the whole-string scraper reads.
+    PbsDetector oracle([this] { return pbs.qstat_f_output(); },
+                       [this] { return pbs.pbsnodes_output(); },
+                       [this] { return engine.unix_now(); });
+    const QueueSnapshot want = oracle.check();
+    EXPECT_EQ(second.record, want.record);
+    EXPECT_EQ(second.running, want.running);
+    EXPECT_EQ(second.queued, want.queued);
+    EXPECT_EQ(second.idle_nodes, want.idle_nodes);
+    EXPECT_EQ(second.debug_text, want.debug_text);
+}
+
+TEST_F(DetectorFixture, ServerWiredShimRefusesWholeStringMode) {
+    EXPECT_THROW((void)PbsDetector(pbs, false), util::PreconditionError);
+    EXPECT_NO_THROW((void)PbsDetector(pbs, true));
 }
 
 TEST_F(DetectorFixture, WinDetectorIdle) {

@@ -3,6 +3,7 @@
 // and the hung-node recovery sweeper.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -613,11 +614,19 @@ TEST_F(SweeperFixture, TornProvisionIsRescuedByTheSupervisor) {
 
 // ---------- detector degradation ----------
 
+/// A whole-string scraper over the server's qstat -f text, mangled by
+/// `fault` before parsing (truncation, garbage, empty string).
+core::PbsDetector mangled_qstat_detector(const pbs::PbsServer& server,
+                                         std::function<std::string(std::string)> fault) {
+    return core::PbsDetector([&server, fault] { return fault(server.qstat_f_output()); },
+                             [&server] { return server.pbsnodes_output(); },
+                             [] { return std::int64_t{0}; });
+}
+
 TEST(DetectorFault, UnparseableTextReadsAsCalmState) {
     sim::Engine engine;
     pbs::PbsServer server{engine};
-    core::PbsDetector detector(server);
-    detector.set_text_fault([](std::string text) {
+    auto detector = mangled_qstat_detector(server, [](std::string text) {
         return text.substr(0, text.size() / 3) + "\x01garbage\nResource_List.nodes = ";
     });
     // Must not throw, must not report stuck.
@@ -628,8 +637,7 @@ TEST(DetectorFault, UnparseableTextReadsAsCalmState) {
 TEST(DetectorFault, EmptyTextReadsAsCalmState) {
     sim::Engine engine;
     pbs::PbsServer server{engine};
-    core::PbsDetector detector(server);
-    detector.set_text_fault([](std::string) { return std::string{}; });
+    auto detector = mangled_qstat_detector(server, [](std::string) { return std::string{}; });
     const auto snap = detector.check();
     EXPECT_FALSE(snap.record.stuck);
     EXPECT_EQ(snap.running, 0);

@@ -3,6 +3,7 @@
 // wire-format totality, and cross-version end-state equivalence.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "boot/boot_control.hpp"
@@ -410,6 +411,14 @@ struct HybridSweepParam {
     std::uint64_t seed;
     deploy::MiddlewareVersion version;
 };
+
+/// Print a parameter as "seed1_v2". Without this gtest prints the struct's
+/// raw bytes, padding included, and CMake's test discovery names each
+/// instance after that text, so the ctest names changed between builds.
+void PrintTo(const HybridSweepParam& param, std::ostream* os) {
+    *os << "seed" << param.seed
+        << (param.version == deploy::MiddlewareVersion::kV1 ? "_v1" : "_v2");
+}
 
 class HybridSweep : public ::testing::TestWithParam<HybridSweepParam> {};
 

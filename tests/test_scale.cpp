@@ -49,6 +49,14 @@ void expect_same_snapshot(const core::QueueSnapshot& got, const core::QueueSnaps
     EXPECT_EQ(got.idle_nodes, want.idle_nodes) << what;
 }
 
+/// The reference oracle: a whole-string scraper over the server's assembled
+/// qstat -f and pbsnodes text, sharing no state with the streaming path.
+core::PbsDetector whole_string_detector(const pbs::PbsServer& server) {
+    return core::PbsDetector([&server] { return server.qstat_f_output(); },
+                             [&server] { return server.pbsnodes_output(); },
+                             [] { return std::int64_t{0}; });
+}
+
 /// Drive one random operation against the server. Returns false when the op
 /// was a no-op (e.g. acting on an already-finished job) — callers don't care.
 void random_op(bench::P2Testbed& bed, util::Rng& rng, std::vector<std::string>& ids) {
@@ -88,7 +96,7 @@ void random_op(bench::P2Testbed& bed, util::Rng& rng, std::vector<std::string>& 
 
 TEST(ScaleChurn, IncrementalTextMatchesFullRenderAt10k) {
     bench::P2Testbed bed(10'000);
-    core::PbsDetector streaming(bed.server, /*incremental=*/true);
+    core::PbsDetector streaming(bed.server);
     util::Rng rng(42);
     std::vector<std::string> ids;
     for (int op = 1; op <= 400; ++op) {
@@ -100,8 +108,8 @@ TEST(ScaleChurn, IncrementalTextMatchesFullRenderAt10k) {
                          "qstat -f");
         // The long-lived streaming detector must agree with a brand-new
         // whole-string scraper at every checkpoint.
-        core::PbsDetector fresh(bed.server);
-        expect_same_snapshot(streaming.check(), fresh.check(), "churn checkpoint");
+        auto oracle = whole_string_detector(bed.server);
+        expect_same_snapshot(streaming.check(), oracle.check(), "churn checkpoint");
     }
 }
 
@@ -132,7 +140,7 @@ TEST(ScaleSteadyState, PollAt100kRendersNothing) {
     for (int i = 0; i < 16; ++i) bed.submit(1, 4, sim::hours(1));         // blocked backlog
     bed.engine.run_for(sim::minutes(5));
 
-    core::PbsDetector detector(bed.server, /*incremental=*/true);
+    core::PbsDetector detector(bed.server);
     const auto first = detector.check();  // pays the one-time full sync
     EXPECT_EQ(first.running, kNodes);
     EXPECT_EQ(first.queued, 16);
@@ -226,7 +234,7 @@ TEST(ScaleDetector, ResyncsAfterJournalTrim) {
     // must fall back to a full-document walk — and still agree with a fresh
     // whole-string scraper afterwards.
     bench::P2Testbed bed(64);
-    core::PbsDetector detector(bed.server, /*incremental=*/true);
+    core::PbsDetector detector(bed.server);
     (void)detector.check();
     EXPECT_EQ(detector.poll_stats().resyncs, 2u);  // initial sync, one per document
 
@@ -242,8 +250,8 @@ TEST(ScaleDetector, ResyncsAfterJournalTrim) {
     const auto snap = detector.check();
     // Exactly one more: the pbsnodes document resynced, qstat -f did not.
     EXPECT_EQ(detector.poll_stats().resyncs, 3u);
-    core::PbsDetector fresh(bed.server);
-    expect_same_snapshot(snap, fresh.check(), "post-trim");
+    auto oracle = whole_string_detector(bed.server);
+    expect_same_snapshot(snap, oracle.check(), "post-trim");
 }
 
 TEST(ScaleWinHpc, ConsistencyChecksUnderChurn) {

@@ -18,9 +18,12 @@
 // its format: core/scenario.hpp (--cloud), sweep/spec.hpp, grid/spec.hpp,
 // serve/spec.hpp and fault/plan.hpp (--faults). This file keeps the flags,
 // the file I/O and the printing.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -34,6 +37,7 @@
 #include "serve/runner.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/time_format.hpp"
@@ -63,38 +67,60 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start)
     return flags;
 }
 
-double flag_or(const std::map<std::string, std::string>& flags, const std::string& key,
-               double fallback) {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
-
 std::string flag_or(const std::map<std::string, std::string>& flags, const std::string& key,
                     const std::string& fallback) {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
 }
 
-int cmd_generate(const std::map<std::string, std::string>& flags) {
-    workload::GeneratorConfig cfg;
-    cfg.arrival.rate_per_hour = flag_or(flags, "rate", 8.0);
-    cfg.horizon = sim::hours(flag_or(flags, "hours", 24.0));
-    cfg.max_nodes = static_cast<int>(flag_or(flags, "max-nodes", 4.0));
-    cfg.runtime_scale = flag_or(flags, "runtime-scale", 1.0);
-    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), cfg,
-                                    static_cast<std::uint64_t>(flag_or(flags, "seed", 42.0)));
-    std::fputs(workload::serialize_trace(gen.generate()).c_str(), stdout);
-    return 0;
+/// Report a bad flag value and exit 1.
+[[noreturn]] void bad_flag(const std::string& message) {
+    std::fprintf(stderr, "dualboot-sim: %s\n", message.c_str());
+    std::exit(1);
 }
 
 /// A parsed flag value, or exit with the parser's message.
 template <typename T>
 T flag_value_or_die(util::Result<T> parsed) {
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "dualboot-sim: %s\n", parsed.error_message().c_str());
-        std::exit(1);
-    }
+    if (!parsed.ok()) bad_flag(parsed.error_message());
     return std::move(parsed).take();
+}
+
+/// Read a numeric flag through the spec loaders' range check
+/// (util::read_number), so `--nodes 0` is the same typed error as
+/// `"nodes": 0`. An absent flag leaves `out` as it is; text that is not a
+/// number, or a number outside [lo, hi], exits 1.
+template <typename T>
+void read_flag(const std::map<std::string, std::string>& flags, const std::string& key, T& out,
+               T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    double number = std::strtod(text, &end);
+    if (end == text || *end != '\0') number = std::nan("");  // outside every range
+    if (auto st = util::read_number("--" + key, number, out, lo, hi); !st.ok())
+        bad_flag(st.error_message());
+}
+
+int cmd_generate(const std::map<std::string, std::string>& flags) {
+    workload::GeneratorConfig cfg;
+    cfg.arrival.rate_per_hour = 8.0;
+    double hours = 24.0;
+    cfg.max_nodes = 4;
+    std::uint64_t seed = 42;
+    read_flag(flags, "rate", cfg.arrival.rate_per_hour, 0.0, double{util::kSpecCountMax});
+    read_flag(flags, "hours", hours, 0.0, util::kSpecHoursMax);
+    read_flag(flags, "max-nodes", cfg.max_nodes, 1, util::kSpecCountMax);
+    read_flag(flags, "runtime-scale", cfg.runtime_scale, 0.0, 1e6);
+    read_flag(flags, "seed", seed);
+    cfg.horizon = sim::hours(hours);
+    if (cfg.arrival.rate_per_hour <= 0) bad_flag("--rate must be > 0");
+    if (cfg.horizon.ms <= 0) bad_flag("--hours must be > 0");
+    if (cfg.runtime_scale <= 0) bad_flag("--runtime-scale must be > 0");
+    workload::WorkloadGenerator gen(workload::AppCatalog::huddersfield(), cfg, seed);
+    std::fputs(workload::serialize_trace(gen.generate()).c_str(), stdout);
+    return 0;
 }
 
 /// Read a whole file into `out`; report and return false when it cannot be
@@ -161,16 +187,25 @@ int cmd_run(const std::map<std::string, std::string>& flags,
         core::parse_scenario_kind(flag_or(flags, "scenario", std::string("hybrid"))));
     cfg.policy = flag_value_or_die(
         core::parse_policy_kind(flag_or(flags, "policy", std::string("fcfs"))));
-    cfg.node_count = static_cast<int>(flag_or(flags, "nodes", 16.0));
-    cfg.linux_nodes = static_cast<int>(flag_or(flags, "linux-nodes",
-                                               static_cast<double>(cfg.node_count)));
+    cfg.node_count = 16;
+    read_flag(flags, "nodes", cfg.node_count, 1, util::kSpecCountMax);
+    cfg.linux_nodes = cfg.node_count;
+    read_flag(flags, "linux-nodes", cfg.linux_nodes, 0, cfg.node_count);
     cfg.version = flag_or(flags, "version", std::string("v2")) == "v1"
                       ? deploy::MiddlewareVersion::kV1
                       : deploy::MiddlewareVersion::kV2;
-    cfg.poll_interval = sim::minutes(flag_or(flags, "poll-minutes", 10.0));
-    cfg.horizon = sim::hours(flag_or(flags, "hours", 40.0));
-    cfg.seed = static_cast<std::uint64_t>(flag_or(flags, "seed", 42.0));
-    cfg.fair_share_cooldown = static_cast<int>(flag_or(flags, "cooldown", 0.0));
+    double poll_minutes = 10.0;
+    double hours = 40.0;
+    read_flag(flags, "poll-minutes", poll_minutes, 0.0, util::kSpecHoursMax * 60.0);
+    read_flag(flags, "hours", hours, 0.0, util::kSpecHoursMax);
+    cfg.poll_interval = sim::minutes(poll_minutes);
+    cfg.horizon = sim::hours(hours);
+    if (cfg.poll_interval.ms <= 0) bad_flag("--poll-minutes must be > 0");
+    if (cfg.horizon.ms <= 0) bad_flag("--hours must be > 0");
+    cfg.seed = 42;
+    read_flag(flags, "seed", cfg.seed);
+    cfg.fair_share_cooldown = 0;
+    read_flag(flags, "cooldown", cfg.fair_share_cooldown, 0);
 
     // Elastic partition: --cloud spec.json arms max_burst cloud slots beside
     // the fixed pools (pair with --policy burst-aware for the decision side).
@@ -287,7 +322,8 @@ int cmd_sweep(const std::string& spec_path, const std::string& text,
     auto trace = std::make_shared<const std::vector<workload::JobSpec>>(gen.generate());
     const std::uint64_t first_seed = spec.first_seed;
     const std::uint64_t seed_count = spec.seed_count;
-    const int threads = static_cast<int>(flag_or(flags, "threads", 0.0));
+    int threads = 0;
+    read_flag(flags, "threads", threads);
 
     // Warm-started campaign: `fork` replaces the seed fan-out (the shared
     // prefix runs at first_seed; per-variant diversity comes only from the
@@ -400,8 +436,7 @@ int cmd_grid(const std::string& spec_path, const std::string& text,
     const double hours = spec.hours;
     grid::FederationConfig& config = spec.config;
     // The CLI flag wins over the spec's suggestion, matching `sweep`.
-    config.threads =
-        static_cast<int>(flag_or(flags, "threads", static_cast<double>(config.threads)));
+    read_flag(flags, "threads", config.threads);
     grid::FederatedGrid fed(config);
     for (grid::MemberSpec& member : spec.members) fed.add_member(std::move(member));
 
@@ -512,9 +547,11 @@ int main(int argc, char** argv) {
         return run_spec(spec, text, flags);
     }
 
-    if (command == "case-study")
-        return cmd_run(flags, workload::mdcs_ga_case_study(
-                                  static_cast<std::uint64_t>(flag_or(flags, "seed", 42.0))));
+    if (command == "case-study") {
+        std::uint64_t seed = 42;
+        read_flag(flags, "seed", seed);
+        return cmd_run(flags, workload::mdcs_ga_case_study(seed));
+    }
 
     if (command == "run") {
         const std::string path = flag_or(flags, "trace", std::string());
