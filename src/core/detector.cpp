@@ -1,5 +1,7 @@
 #include "core/detector.hpp"
 
+#include <algorithm>
+
 #include "util/errors.hpp"
 #include "util/strings.hpp"
 #include "util/time_format.hpp"
@@ -109,110 +111,195 @@ int PbsDetector::count_idle_nodes(const std::string& pbsnodes_text) {
 
 QueueSnapshot PbsDetector::check() {
     ++poll_stats_.polls;
-    if (doc_server_ != nullptr) return check_incremental();
+    if (doc_server_ != nullptr) return check_streaming();
     return snapshot_from_parse(parse_qstat_f(qstat_f_()), count_idle_nodes(pbsnodes_()));
 }
 
-PbsDetector::JobStanza PbsDetector::parse_job_stanza(const std::string& text) {
-    JobStanza s;
-    for (const std::string& raw : util::split_lines(text)) {
-        const std::string line(util::trim(raw));
-        if (line.rfind("Job Id:", 0) == 0) {
-            s.id = std::string(util::trim(line.substr(7)));
-            continue;
+namespace {
+
+/// Call fn(line) for each line of `text` exactly as util::split_lines
+/// yields them (split on '\n', one trailing '\r' dropped, no empty last
+/// line), as views into `text`.
+template <class Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+    std::size_t start = 0;
+    while (start < text.size()) {
+        const std::size_t nl = text.find('\n', start);
+        std::string_view line = text.substr(start, nl == std::string_view::npos ? nl : nl - start);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+        fn(line);
+        if (nl == std::string_view::npos) return;
+        start = nl + 1;
+    }
+}
+
+}  // namespace
+
+PbsDetector::JobStanzaView PbsDetector::parse_job_stanza(std::string_view stanza) {
+    // The per-line rules of parse_qstat_f, without a copy.
+    JobStanzaView s;
+    for_each_line(stanza, [&s](std::string_view raw) {
+        const std::string_view line = util::trim(raw);
+        if (line.starts_with("Job Id:")) {
+            s.id = util::trim(line.substr(7));
+            return;
         }
         const auto eq = line.find(" = ");
-        if (eq == std::string::npos) continue;
-        const std::string key = line.substr(0, eq);
-        const std::string value = line.substr(eq + 3);
+        if (eq == std::string_view::npos) return;
+        const std::string_view key = line.substr(0, eq);
+        const std::string_view value = line.substr(eq + 3);
         if (key == "job_state" && !value.empty()) s.state = value[0];
         else if (key == "Job_Name") s.name = value;
         else if (key == "Job_Owner") s.owner = value;
         else if (key == "Resource_List.nodes") s.nodes_spec = value;
-    }
+    });
     return s;
+}
+
+bool PbsDetector::node_stanza_idle(std::string_view stanza) {
+    // The block rules of count_idle_nodes: idle when any block is.
+    bool in_block = false;
+    bool is_free = false;
+    bool has_jobs = false;
+    bool idle = false;
+    for_each_line(stanza, [&](std::string_view raw) {
+        if (raw.empty()) return;
+        if (raw.front() != ' ' && raw.front() != '\t') {
+            idle = idle || (in_block && is_free && !has_jobs);
+            in_block = true;
+            is_free = false;
+            has_jobs = false;
+            return;
+        }
+        const std::string_view line = util::trim(raw);
+        if (line == "state = free") is_free = true;
+        if (line.starts_with("jobs = ")) has_jobs = true;
+    });
+    return idle || (in_block && is_free && !has_jobs);
+}
+
+void PbsDetector::JobKeys::assign(std::uint64_t key, bool queued, bool running) {
+    if (queued || running) {
+        if (queued_.count() + running_.count() == 0) base_ = key;  // empty: anchor here
+        else if (key < base_) rebase(key);
+    } else if (key < base_) {
+        return;  // below the window: not a member
+    }
+    const auto bit = static_cast<std::size_t>(key - base_);
+    if (queued) queued_.set(bit);
+    else queued_.reset(bit);
+    if (running) running_.set(bit);
+    else running_.reset(bit);
+}
+
+std::uint64_t PbsDetector::JobKeys::first(const util::IndexBitset& bits) const {
+    const std::size_t bit = bits.next(0);
+    return bit == util::IndexBitset::npos ? npos : base_ + bit;
+}
+
+void PbsDetector::JobKeys::rebase(std::uint64_t base) {
+    JobKeys moved;
+    moved.base_ = base;
+    for (std::size_t b = queued_.next(0); b != util::IndexBitset::npos; b = queued_.next(b + 1))
+        moved.queued_.set(static_cast<std::size_t>(base_ + b - base));
+    for (std::size_t b = running_.next(0); b != util::IndexBitset::npos; b = running_.next(b + 1))
+        moved.running_.set(static_cast<std::size_t>(base_ + b - base));
+    *this = std::move(moved);
+}
+
+void PbsDetector::JobKeys::compact() {
+    // Rebasing costs one pass over the members; doing it only once 4096 keys
+    // below the window's first member are free keeps that amortized.
+    constexpr std::uint64_t kSlack = 4096;
+    const std::uint64_t low = std::min(first_queued(), first_running());
+    if (low != npos && low - base_ >= kSlack) rebase(low);
 }
 
 void PbsDetector::apply_job_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk) {
     if (chunk == nullptr) {  // stanza removed: job left the listing
-        queued_keys_.erase(key);
-        running_keys_.erase(key);
-        job_stanzas_.erase(key);
+        job_keys_.assign(key, false, false);
         return;
     }
-    JobStanza s = parse_job_stanza(chunk->text);
+    const JobStanzaView s = parse_job_stanza(chunk->text);
     ++poll_stats_.stanza_parses;
-    queued_keys_.erase(key);
-    running_keys_.erase(key);
-    if (s.state == 'Q') queued_keys_.insert(key);
-    if (s.state == 'R' || s.state == 'E') running_keys_.insert(key);
-    job_stanzas_[key] = std::move(s);
+    job_keys_.assign(key, s.queued(), s.running());
 }
 
 void PbsDetector::apply_node_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk) {
-    if (chunk == nullptr) {
-        if (auto it = node_idle_.find(key); it != node_idle_.end()) {
-            idle_count_ -= it->second ? 1 : 0;
-            node_idle_.erase(it);
-        }
-        return;
+    bool idle = false;
+    if (chunk != nullptr) {
+        idle = node_stanza_idle(chunk->text);
+        ++poll_stats_.stanza_parses;
     }
-    const bool idle = count_idle_nodes(chunk->text) > 0;
-    ++poll_stats_.stanza_parses;
-    auto [it, inserted] = node_idle_.try_emplace(key, false);
-    idle_count_ += (idle ? 1 : 0) - (it->second ? 1 : 0);
-    it->second = idle;
+    if (key >= node_idle_.size()) {
+        if (!idle) return;
+        node_idle_.resize(static_cast<std::size_t>(key) + 1, 0);
+    }
+    const auto k = static_cast<std::size_t>(key);
+    idle_count_ += (idle ? 1 : 0) - node_idle_[k];
+    node_idle_[k] = idle ? 1 : 0;
 }
 
-QueueSnapshot PbsDetector::check_incremental() {
+QueueSnapshot PbsDetector::check_streaming() {
     const util::TextDocument& qdoc = doc_server_->qstat_f_document();
     const util::TextDocument& ndoc = doc_server_->pbsnodes_document();
-    if (doc_synced_ && qdoc.changed_since(qstat_doc_version_, changed_buf_)) {
-        for (std::uint64_t key : changed_buf_) apply_job_chunk(key, qdoc.find(key));
-    } else {
-        // First poll, or the journal was trimmed past us: walk everything.
-        ++poll_stats_.resyncs;
-        job_stanzas_.clear();
-        queued_keys_.clear();
-        running_keys_.clear();
-        for (const auto& [key, chunk] : qdoc.chunks()) apply_job_chunk(key, &chunk);
-    }
-    qstat_doc_version_ = qdoc.version();
-    if (doc_synced_ && ndoc.changed_since(nodes_doc_version_, changed_buf_)) {
-        for (std::uint64_t key : changed_buf_) apply_node_chunk(key, ndoc.find(key));
-    } else {
-        ++poll_stats_.resyncs;
-        node_idle_.clear();
-        idle_count_ = 0;
-        for (const auto& [key, chunk] : ndoc.chunks()) apply_node_chunk(key, &chunk);
-    }
-    nodes_doc_version_ = ndoc.version();
-    doc_synced_ = true;
-
-    // Rebuild the same QstatParse the whole-string parser would produce:
-    // document order is seq order, so the smallest queued/running key is the
-    // first stanza of that state in the assembled text.
-    QstatParse p;
-    p.running = static_cast<int>(running_keys_.size());
-    p.queued = static_cast<int>(queued_keys_.size());
-    if (!queued_keys_.empty()) {
-        const JobStanza& s = job_stanzas_[*queued_keys_.begin()];
-        p.first_queued_id = s.id;
-        auto rl = pbs::ResourceList::parse("nodes=" + s.nodes_spec);
-        if (!rl) {
-            return snapshot_from_parse(
-                Error{"bad Resource_List.nodes for " + s.id + ": " + rl.error_message()},
-                idle_count_);
+    // A document whose version did not move has no changed chunk, and the
+    // journal still answers for its own version: skipping it changes nothing.
+    if (!doc_synced_ || qdoc.version() != qstat_doc_version_) {
+        if (doc_synced_ && qdoc.changed_since(qstat_doc_version_, changed_buf_)) {
+            for (std::uint64_t key : changed_buf_) apply_job_chunk(key, qdoc.find(key));
+        } else {
+            // First poll, or the journal was trimmed past us: walk everything.
+            ++poll_stats_.resyncs;
+            job_keys_.clear();
+            qdoc.for_each_chunk([this](std::uint64_t key, const util::TextDocument::Chunk& chunk) {
+                apply_job_chunk(key, &chunk);
+            });
         }
+        job_keys_.compact();
+        qstat_doc_version_ = qdoc.version();
+        first_jobs_.reset();
+    }
+    if (!doc_synced_ || ndoc.version() != nodes_doc_version_) {
+        if (doc_synced_ && ndoc.changed_since(nodes_doc_version_, changed_buf_)) {
+            for (std::uint64_t key : changed_buf_) apply_node_chunk(key, ndoc.find(key));
+        } else {
+            ++poll_stats_.resyncs;
+            node_idle_.clear();
+            idle_count_ = 0;
+            ndoc.for_each_chunk([this](std::uint64_t key, const util::TextDocument::Chunk& chunk) {
+                apply_node_chunk(key, &chunk);
+            });
+        }
+        nodes_doc_version_ = ndoc.version();
+    }
+    doc_synced_ = true;
+    if (!first_jobs_) first_jobs_ = read_first_jobs(qdoc);
+    return snapshot_from_parse(*first_jobs_, idle_count_);
+}
+
+Result<PbsDetector::QstatParse> PbsDetector::read_first_jobs(const util::TextDocument& qdoc) const {
+    // Rebuild the QstatParse the whole-string parser would produce: document
+    // order is key order, so the smallest queued/running key is the first
+    // stanza of that state in the assembled text.
+    QstatParse p;
+    p.running = job_keys_.running();
+    p.queued = job_keys_.queued();
+    if (const std::uint64_t key = job_keys_.first_queued(); key != JobKeys::npos) {
+        const JobStanzaView s = parse_job_stanza(qdoc.find(key)->text);
+        p.first_queued_id = s.id;
+        auto rl = pbs::ResourceList::parse("nodes=" + std::string(s.nodes_spec));
+        if (!rl) return Error{"bad Resource_List.nodes for " + p.first_queued_id + ": " +
+                              rl.error_message()};
         p.first_queued_cpus = rl.value().total_cpus();
     }
-    if (!running_keys_.empty()) {
-        const JobStanza& s = job_stanzas_[*running_keys_.begin()];
+    if (const std::uint64_t key = job_keys_.first_running(); key != JobKeys::npos) {
+        const JobStanzaView s = parse_job_stanza(qdoc.find(key)->text);
         p.first_running_id = s.id;
         p.first_running_name = s.name;
         p.first_running_owner = s.owner;
     }
-    return snapshot_from_parse(p, idle_count_);
+    return p;
 }
 
 QueueSnapshot PbsDetector::snapshot_from_parse(const util::Result<QstatParse>& parsed,

@@ -12,14 +12,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/queue_state.hpp"
 #include "pbs/server.hpp"
+#include "util/index_bitset.hpp"
 #include "winhpc/scheduler.hpp"
 
 namespace hc::core {
@@ -33,6 +33,16 @@ public:
 };
 
 /// The checkqueue.pl equivalent: parse qstat -f and pbsnodes text.
+///
+/// Two ways in. The whole-string scraper re-parses both listings on every
+/// poll; it reads text from outside the process (`tools/checkqueue`) and is
+/// the oracle the streaming path is tested against. A server-wired detector
+/// streams: it re-parses only the stanzas whose chunks changed, as
+/// `std::string_view` lines with no copied line, key or value, and keeps
+/// one job state per job key and one idle flag per node. The first queued
+/// and first running job's id, name, owner and nodes are read back from
+/// their stanzas only when the qstat -f document moved, so a steady poll
+/// does no per-job work at all.
 class PbsDetector : public Detector {
 public:
     using TextProvider = std::function<std::string()>;
@@ -73,6 +83,24 @@ public:
     /// Count fully idle (state = free, no jobs line) nodes in pbsnodes text.
     [[nodiscard]] static int count_idle_nodes(const std::string& pbsnodes_text);
 
+    /// One qstat -f job stanza read in place: views into the stanza text,
+    /// last occurrence of each attribute, id from the `Job Id:` line.
+    struct JobStanzaView {
+        std::string_view id;
+        std::string_view name;
+        std::string_view owner;
+        std::string_view nodes_spec;  ///< `Resource_List.nodes` value
+        char state = '?';             ///< first character of `job_state`
+        /// How parse_qstat_f counts a stanza with one `Job Id:` line: no id
+        /// counts as no job; R and E run, Q queues, anything else neither.
+        [[nodiscard]] bool running() const { return !id.empty() && (state == 'R' || state == 'E'); }
+        [[nodiscard]] bool queued() const { return !id.empty() && state == 'Q'; }
+    };
+    [[nodiscard]] static JobStanzaView parse_job_stanza(std::string_view stanza);
+
+    /// count_idle_nodes(stanza) > 0, without copying a line.
+    [[nodiscard]] static bool node_stanza_idle(std::string_view stanza);
+
     /// Work counters for the streaming path; the scale tests pin these (a
     /// steady-state poll parses zero stanzas).
     struct PollStats {
@@ -83,21 +111,38 @@ public:
     [[nodiscard]] const PollStats& poll_stats() const { return poll_stats_; }
 
 private:
-    /// Per-stanza parse of one qstat -f job block.
-    struct JobStanza {
-        std::string id;
-        std::string name;
-        std::string owner;
-        std::string nodes_spec;
-        char state = '?';
+    /// The queued and the running job keys (qstat -f chunk keys, which are
+    /// job sequence numbers) as bits at `key - base`. Sequence numbers are
+    /// dense, so the window is small, and IndexBitset::next yields the
+    /// smallest member: the first stanza of that state in document order.
+    class JobKeys {
+    public:
+        static constexpr std::uint64_t npos = ~std::uint64_t{0};
+        void clear() { *this = JobKeys{}; }
+        /// Record the key's state: queued, running, or neither.
+        void assign(std::uint64_t key, bool queued, bool running);
+        [[nodiscard]] int queued() const { return static_cast<int>(queued_.count()); }
+        [[nodiscard]] int running() const { return static_cast<int>(running_.count()); }
+        [[nodiscard]] std::uint64_t first_queued() const { return first(queued_); }
+        [[nodiscard]] std::uint64_t first_running() const { return first(running_); }
+        /// Move the window up once its low end has emptied, so memory
+        /// tracks the live keys, not every key ever seen.
+        void compact();
+
+    private:
+        [[nodiscard]] std::uint64_t first(const util::IndexBitset& bits) const;
+        void rebase(std::uint64_t base);
+        std::uint64_t base_ = 0;
+        util::IndexBitset queued_;
+        util::IndexBitset running_;
     };
 
-    [[nodiscard]] QueueSnapshot check_incremental();
+    [[nodiscard]] QueueSnapshot check_streaming();
+    [[nodiscard]] util::Result<QstatParse> read_first_jobs(const util::TextDocument& qdoc) const;
     [[nodiscard]] QueueSnapshot snapshot_from_parse(const util::Result<QstatParse>& parsed,
                                                     int idle_nodes);
     void apply_job_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk);
     void apply_node_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk);
-    [[nodiscard]] static JobStanza parse_job_stanza(const std::string& text);
 
     TextProvider qstat_f_;
     TextProvider pbsnodes_;
@@ -110,11 +155,12 @@ private:
     bool doc_synced_ = false;
     std::uint64_t qstat_doc_version_ = 0;
     std::uint64_t nodes_doc_version_ = 0;
-    std::map<std::uint64_t, JobStanza> job_stanzas_;  ///< by chunk key (job seq)
-    std::set<std::uint64_t> queued_keys_;             ///< state Q
-    std::set<std::uint64_t> running_keys_;            ///< state R or E
-    std::map<std::uint64_t, bool> node_idle_;         ///< chunk key → counted idle
+    JobKeys job_keys_;
+    std::vector<std::uint8_t> node_idle_;  ///< by chunk key (node index): counted idle
     int idle_count_ = 0;
+    /// The qstat -f reading at qstat_doc_version_ (counts plus the first
+    /// queued/running job's fields); empty until read.
+    std::optional<util::Result<QstatParse>> first_jobs_;
     std::vector<std::uint64_t> changed_buf_;
     PollStats poll_stats_;
 
@@ -126,26 +172,23 @@ public:
         bool doc_synced = false;
         std::uint64_t qstat_doc_version = 0;
         std::uint64_t nodes_doc_version = 0;
-        std::map<std::uint64_t, JobStanza> job_stanzas;
-        std::set<std::uint64_t> queued_keys;
-        std::set<std::uint64_t> running_keys;
-        std::map<std::uint64_t, bool> node_idle;
+        JobKeys job_keys;
+        std::vector<std::uint8_t> node_idle;
         int idle_count = 0;
         PollStats poll_stats;
     };
     [[nodiscard]] SavedState save_state() const {
-        return {doc_synced_,   qstat_doc_version_, nodes_doc_version_, job_stanzas_, queued_keys_,
-                running_keys_, node_idle_,         idle_count_,        poll_stats_};
+        return {doc_synced_, qstat_doc_version_, nodes_doc_version_, job_keys_,
+                node_idle_,  idle_count_,        poll_stats_};
     }
     void restore_state(const SavedState& s) {
         doc_synced_ = s.doc_synced;
         qstat_doc_version_ = s.qstat_doc_version;
         nodes_doc_version_ = s.nodes_doc_version;
-        job_stanzas_ = s.job_stanzas;
-        queued_keys_ = s.queued_keys;
-        running_keys_ = s.running_keys;
+        job_keys_ = s.job_keys;
         node_idle_ = s.node_idle;
         idle_count_ = s.idle_count;
+        first_jobs_.reset();  // re-read from the restored document on the next poll
         poll_stats_ = s.poll_stats;
     }
 };

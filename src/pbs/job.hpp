@@ -90,6 +90,8 @@ struct Job {
 
     /// "node16.../3+node16.../2+..." as qstat -f prints it (Fig 8).
     [[nodiscard]] std::string exec_host_string() const;
+    /// exec_host_string() appended to `out`.
+    void append_exec_host(std::string& out) const;
 
     /// Time spent waiting in the queue (so far, or total if started).
     [[nodiscard]] std::int64_t wait_seconds(std::int64_t now_unix) const;

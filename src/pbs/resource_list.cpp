@@ -1,7 +1,5 @@
 #include "pbs/resource_list.hpp"
 
-#include <cstdio>
-
 #include "util/strings.hpp"
 
 namespace hc::pbs {
@@ -21,12 +19,19 @@ Result<sim::Duration> parse_walltime(const std::string& text) {
     return sim::seconds(static_cast<double>(total));
 }
 
-std::string format_walltime(sim::Duration d) {
+void append_walltime(std::string& out, sim::Duration d) {
     const std::int64_t s = d.whole_seconds();
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%02lld:%02lld:%02lld", static_cast<long long>(s / 3600),
-                  static_cast<long long>((s / 60) % 60), static_cast<long long>(s % 60));
-    return buf;
+    util::append_int_pad2(out, s / 3600);
+    out += ':';
+    util::append_int_pad2(out, (s / 60) % 60);
+    out += ':';
+    util::append_int_pad2(out, s % 60);
+}
+
+std::string format_walltime(sim::Duration d) {
+    std::string out;
+    append_walltime(out, d);
+    return out;
 }
 
 Result<ResourceList> ResourceList::parse(const std::string& spec) {
@@ -73,10 +78,21 @@ std::string ResourceList::to_string() const {
     return out;
 }
 
+void ResourceList::append_nodes_spec(std::string& out) const {
+    util::append_int(out, nodes);
+    if (ppn != 1) {
+        out += ":ppn=";
+        util::append_int(out, ppn);
+    }
+    for (const auto& p : properties) {
+        out += ':';
+        out += p;
+    }
+}
+
 std::string ResourceList::nodes_spec() const {
-    std::string out = std::to_string(nodes);
-    if (ppn != 1) out += ":ppn=" + std::to_string(ppn);
-    for (const auto& p : properties) out += ":" + p;
+    std::string out;
+    append_nodes_spec(out);
     return out;
 }
 

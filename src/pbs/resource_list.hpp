@@ -34,6 +34,8 @@ struct ResourceList {
 
     /// Render just the nodes spec as qstat -f prints it ("1:ppn=4").
     [[nodiscard]] std::string nodes_spec() const;
+    /// nodes_spec() appended to `out`.
+    void append_nodes_spec(std::string& out) const;
 };
 
 /// Parse "HH:MM:SS" (or "MM:SS", or plain seconds) into a Duration.
@@ -41,5 +43,7 @@ struct ResourceList {
 
 /// Render a Duration as "HH:MM:SS".
 [[nodiscard]] std::string format_walltime(sim::Duration d);
+/// format_walltime appended to `out`.
+void append_walltime(std::string& out, sim::Duration d);
 
 }  // namespace hc::pbs

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/errors.hpp"
+#include "util/strings.hpp"
 
 namespace hc::pbs {
 
@@ -192,6 +193,7 @@ void PbsServer::queue_unlink(Job& job) {
 void PbsServer::verify_incremental_state() const {
     int agg = 0;
     int total = 0;
+    std::string fresh;  // a stanza rendered from primary state
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeRecord& rec = nodes_[i];
         const int free = static_cast<int>(
@@ -221,7 +223,9 @@ void PbsServer::verify_incremental_state() const {
         // A clean stanza must equal a fresh render of the record.
         if (!rec.text_dirty) {
             const auto* chunk = pbsnodes_doc_.find(static_cast<util::TextDocument::Key>(i));
-            util::ensure(chunk != nullptr && chunk->text == render_node_stanza(rec),
+            fresh.clear();
+            render_node_stanza(rec, fresh);
+            util::ensure(chunk != nullptr && chunk->text == fresh,
                          "consistency: clean pbsnodes stanza diverged from state");
         }
     }
@@ -245,7 +249,9 @@ void PbsServer::verify_incremental_state() const {
                      "consistency: active_by_seq_ missing an active job");
         if (!job->text_dirty) {
             const auto* chunk = qstat_f_doc_.find(job->seq);
-            util::ensure(chunk != nullptr && chunk->text == render_job_stanza(*job),
+            fresh.clear();
+            render_job_stanza(*job, fresh);
+            util::ensure(chunk != nullptr && chunk->text == fresh,
                          "consistency: clean qstat -f stanza diverged from state");
         }
     }
@@ -275,7 +281,15 @@ void PbsServer::verify_incremental_state() const {
 }
 
 std::string PbsServer::job_id_for(std::uint64_t seq) const {
-    return std::to_string(seq) + "." + config_.server_name;
+    std::string out;
+    append_job_id(out, seq);
+    return out;
+}
+
+void PbsServer::append_job_id(std::string& out, std::uint64_t seq) const {
+    util::append_int(out, seq);
+    out += '.';
+    out += config_.server_name;
 }
 
 std::string PbsServer::make_job_id() { return job_id_for(next_seq_++); }

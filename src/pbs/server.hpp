@@ -242,11 +242,11 @@ public:
     [[nodiscard]] std::string debug_full_render_qstat_f() const;
 
 private:
-    friend struct PbsTextFormatter;
-
     [[nodiscard]] std::string make_job_id();
     /// The id this server gives job `seq`: "<seq>.<server_name>".
     [[nodiscard]] std::string job_id_for(std::uint64_t seq) const;
+    /// job_id_for(seq) appended to `out`.
+    void append_job_id(std::string& out, std::uint64_t seq) const;
     /// Job by sequence number, or nullptr (purged or never issued). O(1).
     [[nodiscard]] Job* job_by_seq(std::uint64_t seq);
     [[nodiscard]] const Job* job_by_seq(std::uint64_t seq) const;
@@ -290,9 +290,9 @@ private:
     [[nodiscard]] std::optional<std::vector<int>> try_place_bruteforce(const Job& job) const;
 
     // ---- incremental text rendering (text_output.cpp) ----
-    /// Render the stanza for one node / one active job.
-    [[nodiscard]] std::string render_node_stanza(const NodeRecord& rec) const;
-    [[nodiscard]] std::string render_job_stanza(const Job& job) const;
+    /// Append the stanza for one node / one active job to `out`.
+    void render_node_stanza(const NodeRecord& rec, std::string& out) const;
+    void render_job_stanza(const Job& job, std::string& out) const;
     [[nodiscard]] std::string render_qstat(bool& time_sensitive) const;
     /// Patch every dirty stanza into the documents (lazy, on output access).
     void refresh_documents() const;
@@ -347,6 +347,7 @@ private:
     mutable util::TextDocument pbsnodes_doc_;
     mutable util::TextDocument qstat_f_doc_;
     mutable TextStats text_stats_;
+    mutable std::string render_buf_;  ///< one stanza at a time; keeps its capacity
 
     // Brief qstat stays a whole-string memoized render (human-facing only).
     struct TextCache {

@@ -12,41 +12,58 @@
 // clock-looking fields (rectime, idletime, netload) are derived from the
 // node's last report time, exactly like a real mom heartbeat — so a
 // steady-state poll re-renders nothing and returns the memoized assembly.
+//
+// A re-render allocates nothing: the renderers append into the server's one
+// reused buffer (numbers through std::to_chars, never a temporary string),
+// and TextDocument::set copies the bytes into the chunk's existing string.
 #include <cstdio>
 
 #include "pbs/server.hpp"
+#include "util/strings.hpp"
 #include "util/time_format.hpp"
 
 namespace hc::pbs {
 
 namespace {
 
-/// The status attribute string of one healthy node (Fig 7's `status =` line).
-/// All time-derived fields use the node's last report time, so the stanza is
-/// a pure function of the record.
-std::string node_status_string(const NodeRecord& rec) {
+/// Append the status attribute string of one healthy node (Fig 7's
+/// `status =` value). All time-derived fields use the node's last report
+/// time, so the stanza is a pure function of the record.
+void append_node_status(std::string& out, const NodeRecord& rec) {
     const cluster::Node& node = *rec.node;
     const auto& cfg = node.config();
     const std::int64_t report_unix = rec.last_report_unix;
-    char buf[640];
     // netload is a monotone counter on real moms; derive a deterministic one
     // from the report time so successive reports move forward like the real
     // thing.
     const long long netload =
         154'924'801'596LL + report_unix * (1000LL + node.index() * 37LL);
-    std::snprintf(
-        buf, sizeof buf,
-        "opsys=linux,uname=Linux %s 2.6.18-164.el5 #1 SMP Fri Sep 9 03:28:30 EDT 2011 x86_64,"
-        "sessions=? 0,nsessions=? 0,nusers=0,idletime=%lld,totmem=%lldkb,availmem=%lldkb,"
-        "physmem=%lldkb,ncpus=%d,loadave=%.2f,netload=%lld,state=%s,jobs=? 0,rectime=%lld",
-        node.hostname().c_str(),
-        static_cast<long long>(report_unix - rec.idle_since_unix),
-        static_cast<long long>(cfg.totmem_kb),
-        static_cast<long long>(cfg.totmem_kb - 55'844),  // availmem a little under totmem
-        static_cast<long long>(cfg.physmem_kb), node.np(),
-        static_cast<double>(rec.used_cpus()), netload, node_state_name(rec.state()),
-        static_cast<long long>(report_unix));
-    return buf;
+    const std::size_t start = out.size();
+    out += "opsys=linux,uname=Linux ";
+    out += node.hostname();
+    out += " 2.6.18-164.el5 #1 SMP Fri Sep 9 03:28:30 EDT 2011 x86_64,"
+           "sessions=? 0,nsessions=? 0,nusers=0,idletime=";
+    util::append_int(out, report_unix - rec.idle_since_unix);
+    out += ",totmem=";
+    util::append_int(out, cfg.totmem_kb);
+    out += "kb,availmem=";
+    util::append_int(out, cfg.totmem_kb - 55'844);  // a little under totmem
+    out += "kb,physmem=";
+    util::append_int(out, cfg.physmem_kb);
+    out += "kb,ncpus=";
+    util::append_int(out, node.np());
+    out += ",loadave=";
+    util::append_int(out, rec.used_cpus());  // a whole CPU count: "%.2f" is "<n>.00"
+    out += ".00,netload=";
+    util::append_int(out, netload);
+    out += ",state=";
+    out += node_state_name(rec.state());
+    out += ",jobs=? 0,rectime=";
+    util::append_int(out, report_unix);
+    // The attribute string was once formatted into a 640-byte buffer; keep
+    // its 639-character cut so an absurdly long hostname renders as before.
+    constexpr std::size_t kStatusMax = 639;
+    if (out.size() - start > kStatusMax) out.resize(start + kStatusMax);
 }
 
 }  // namespace
@@ -58,55 +75,80 @@ std::string node_status_string(const NodeRecord& rec) {
 // into the chunk documents lazily on output access; the assembled string is
 // memoized inside the document, so a steady-state poll is a pointer return.
 
-std::string PbsServer::render_node_stanza(const NodeRecord& rec) const {
+void PbsServer::render_node_stanza(const NodeRecord& rec, std::string& out) const {
     const NodeState state = rec.state();
-    std::string out;
-    out += rec.node->hostname() + "\n";
-    out += "     state = " + std::string(node_state_name(state)) + "\n";
-    out += "     np = " + std::to_string(rec.node->np()) + "\n";
-    std::string props;
+    out += rec.node->hostname();
+    out += "\n     state = ";
+    out += node_state_name(state);
+    out += "\n     np = ";
+    util::append_int(out, rec.node->np());
+    out += "\n     properties = ";
     for (std::size_t i = 0; i < rec.properties.size(); ++i) {
-        if (i > 0) props += ",";
-        props += rec.properties[i];
+        if (i > 0) out += ',';
+        out += rec.properties[i];
     }
-    out += "     properties = " + props + "\n";
-    out += "     ntype = cluster\n";
+    out += "\n     ntype = cluster\n";
     // jobs line: "cpu/jobid" pairs, only when something is running here.
     if (rec.used_cpus() > 0) {
-        std::string jobs;
+        out += "     jobs = ";
+        bool first = true;
         for (std::size_t cpu = 0; cpu < rec.cpu_owner.size(); ++cpu) {
             if (rec.cpu_owner[cpu] == 0) continue;
-            if (!jobs.empty()) jobs += ", ";
-            jobs += std::to_string(cpu) + "/" + job_id_for(rec.cpu_owner[cpu]);
+            if (!first) out += ", ";
+            first = false;
+            util::append_int(out, cpu);
+            out += '/';
+            append_job_id(out, rec.cpu_owner[cpu]);
         }
-        out += "     jobs = " + jobs + "\n";
+        out += '\n';
     }
     // Moms that are down report no status attributes.
     if (state != NodeState::kDown) {
-        out += "     status = " + node_status_string(rec) + "\n";
+        out += "     status = ";
+        append_node_status(out, rec);
+        out += '\n';
     }
-    out += "\n";
-    return out;
+    out += '\n';
 }
 
-std::string PbsServer::render_job_stanza(const Job& job) const {
-    std::string out;
-    out += "Job Id: " + job.id + "\n";
-    out += "    Job_Name = " + job.name + "\n";
-    out += "    Job_Owner = " + job.owner + "\n";
-    out += "    job_state = " + std::string(1, job_state_char(job.state)) + "\n";
-    out += "    queue = " + job.queue + "\n";
-    out += "    server = " + job.server + "\n";
+void PbsServer::render_job_stanza(const Job& job, std::string& out) const {
+    out += "Job Id: ";
+    out += job.id;
+    out += "\n    Job_Name = ";
+    out += job.name;
+    out += "\n    Job_Owner = ";
+    out += job.owner;
+    out += "\n    job_state = ";
+    out += job_state_char(job.state);
+    out += "\n    queue = ";
+    out += job.queue;
+    out += "\n    server = ";
+    out += job.server;
+    out += '\n';
     if (job.join_oe) out += "    Join_Path = oe\n";
-    if (!job.output_path.empty()) out += "    Output_Path = " + job.output_path + "\n";
-    out += std::string("    Rerunable = ") + (job.rerunnable ? "True" : "False") + "\n";
-    if (job.state == JobState::kRunning || job.state == JobState::kExiting)
-        out += "    exec_host = " + job.exec_host_string() + "\n";
-    out += "    Priority = " + std::to_string(job.priority) + "\n";
-    out += "    qtime = " + util::format_pbs_time(job.qtime_unix) + "\n";
-    out += "    Resource_List.nodes = " + job.resources.nodes_spec() + "\n";
-    if (job.resources.walltime.has_value())
-        out += "    Resource_List.walltime = " + format_walltime(*job.resources.walltime) + "\n";
+    if (!job.output_path.empty()) {
+        out += "    Output_Path = ";
+        out += job.output_path;
+        out += '\n';
+    }
+    out += job.rerunnable ? "    Rerunable = True\n" : "    Rerunable = False\n";
+    if (job.state == JobState::kRunning || job.state == JobState::kExiting) {
+        out += "    exec_host = ";
+        job.append_exec_host(out);
+        out += '\n';
+    }
+    out += "    Priority = ";
+    util::append_int(out, job.priority);
+    out += "\n    qtime = ";
+    util::append_pbs_time(out, job.qtime_unix);
+    out += "\n    Resource_List.nodes = ";
+    job.resources.append_nodes_spec(out);
+    out += '\n';
+    if (job.resources.walltime.has_value()) {
+        out += "    Resource_List.walltime = ";
+        append_walltime(out, *job.resources.walltime);
+        out += '\n';
+    }
     if (!job.variable_list.empty()) {
         // TORQUE wraps Variable_List with tab continuations.
         out += "    Variable_List = ";
@@ -114,10 +156,9 @@ std::string PbsServer::render_job_stanza(const Job& job) const {
             if (i > 0) out += ",\n\t";
             out += job.variable_list[i];
         }
-        out += "\n";
+        out += '\n';
     }
-    out += "\n";  // stanza separator: every chunk is self-contained
-    return out;
+    out += '\n';  // stanza separator: every chunk is self-contained
 }
 
 void PbsServer::refresh_documents() const {
@@ -128,16 +169,21 @@ void PbsServer::refresh_documents() const {
     removed_job_seqs_.clear();
     for (int idx : dirty_nodes_) {
         NodeRecord& rec = const_cast<NodeRecord&>(nodes_[static_cast<std::size_t>(idx)]);
-        pbsnodes_doc_.set(static_cast<util::TextDocument::Key>(idx), render_node_stanza(rec));
+        render_buf_.clear();
+        render_node_stanza(rec, render_buf_);
+        pbsnodes_doc_.set(static_cast<util::TextDocument::Key>(idx), render_buf_);
         rec.text_dirty = false;
         ++text_stats_.node_stanza_renders;
     }
     dirty_nodes_.clear();
     for (std::uint64_t seq : dirty_job_seqs_) {
-        auto it = active_by_seq_.find(seq);
-        if (it == active_by_seq_.end()) continue;  // completed (and maybe purged) meanwhile
-        qstat_f_doc_.set(seq, render_job_stanza(*it->second));
-        it->second->text_dirty = false;
+        // The hash lookup, not the ordered active map: the same answer.
+        Job* job = const_cast<Job*>(job_by_seq(seq));
+        if (job == nullptr || job->state == JobState::kCompleted) continue;  // completed (maybe purged)
+        render_buf_.clear();
+        render_job_stanza(*job, render_buf_);
+        qstat_f_doc_.set(seq, render_buf_);
+        job->text_dirty = false;
         ++text_stats_.job_stanza_renders;
     }
     dirty_job_seqs_.clear();
@@ -168,13 +214,13 @@ std::string PbsServer::debug_full_render_pbsnodes() const {
     // no dirty tracking. The churn test compares this byte-for-byte against
     // the incremental assembly.
     std::string out;
-    for (const auto& rec : nodes_) out += render_node_stanza(rec);
+    for (const auto& rec : nodes_) render_node_stanza(rec, out);
     return out;
 }
 
 std::string PbsServer::debug_full_render_qstat_f() const {
     std::string out;
-    for (const auto& [_, job] : active_by_seq_) out += render_job_stanza(*job);
+    for (const auto& [_, job] : active_by_seq_) render_job_stanza(*job, out);
     return out;
 }
 

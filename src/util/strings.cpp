@@ -116,6 +116,11 @@ long long parse_uint(std::string_view s) {
 
 bool all_digits(std::string_view s) { return parse_uint(s) >= 0; }
 
+void append_int_pad2(std::string& out, long long v, char fill) {
+    if (v >= 0 && v < 10) out += fill;  // a sign or a second digit fills the width otherwise
+    append_int(out, v);
+}
+
 std::string format_fixed(double v, int digits) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.*f", digits, v);

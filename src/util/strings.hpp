@@ -2,8 +2,10 @@
 // output, diskpart scripts, detector wire records).
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hc::util {
@@ -43,6 +45,21 @@ namespace hc::util {
 
 /// True if `s` consists only of ASCII digits (and is non-empty).
 [[nodiscard]] bool all_digits(std::string_view s);
+
+/// Append the decimal form of the integer `v`, as printf's "%lld"/"%llu"
+/// prints it, through std::to_chars: no temporary string, so a reused `out`
+/// never allocates.
+template <class Int>
+void append_int(std::string& out, Int v) {
+    static_assert(std::is_integral_v<Int>, "append_int takes an integer");
+    char buf[24];  // 20 digits of a 64-bit value, a sign, spare
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
+/// Append `v` padded to two characters with `fill`, as printf's "%02lld"
+/// (fill '0') or "%2lld" (fill ' ') prints it.
+void append_int_pad2(std::string& out, long long v, char fill = '0');
 
 /// Format a double with `digits` decimal places (bench table cells).
 [[nodiscard]] std::string format_fixed(double v, int digits);

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/errors.hpp"
+#include "util/strings.hpp"
 
 namespace hc::util {
 
@@ -64,12 +65,28 @@ CivilTime unix_to_civil(std::int64_t t) {
 
 std::int64_t default_sim_epoch() { return civil_to_unix(2010, 4, 16); }
 
-std::string format_pbs_time(std::int64_t t) {
+void append_pbs_time(std::string& out, std::int64_t t) {
+    // printf's "%s %s %2d %02d:%02d:%02d %d", without the format parse.
     const CivilTime c = unix_to_civil(t);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%s %s %2d %02d:%02d:%02d %d", kWeekdays[c.weekday],
-                  kMonths[c.month], c.day, c.hour, c.minute, c.second, c.year);
-    return buf;
+    out += kWeekdays[c.weekday];
+    out += ' ';
+    out += kMonths[c.month];
+    out += ' ';
+    append_int_pad2(out, c.day, ' ');
+    out += ' ';
+    append_int_pad2(out, c.hour);
+    out += ':';
+    append_int_pad2(out, c.minute);
+    out += ':';
+    append_int_pad2(out, c.second);
+    out += ' ';
+    append_int(out, c.year);
+}
+
+std::string format_pbs_time(std::int64_t t) {
+    std::string out;
+    append_pbs_time(out, t);
+    return out;
 }
 
 std::string format_detector_time(std::int64_t t) {

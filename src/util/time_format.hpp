@@ -37,6 +37,9 @@ struct CivilTime {
 /// "Fri Apr 16 17:55:40 2010" — the format qstat -f uses for qtime (Fig 8).
 [[nodiscard]] std::string format_pbs_time(std::int64_t unix_seconds);
 
+/// format_pbs_time appended to `out` (the qstat -f renderer's reused buffer).
+void append_pbs_time(std::string& out, std::int64_t unix_seconds);
+
 /// "2010 04 17 20 11 12" — the format the PBS detector prints (Fig 6).
 [[nodiscard]] std::string format_detector_time(std::int64_t unix_seconds);
 

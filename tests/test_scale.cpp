@@ -5,7 +5,7 @@
 //  * randomized churn at 10k nodes: the incrementally patched pbsnodes /
 //    qstat -f buffers stay byte-for-byte equal to a full re-render, and the
 //    streaming detector reports the same snapshot as a fresh whole-string
-//    scraper;
+//    scraper; on a saturated cluster too, where queued stanzas outlive polls;
 //  * steady-state polls at 100k nodes render zero stanzas (the acceptance
 //    render-counter assertion);
 //  * the P2 stream harness is golden-deterministic (bitwise-equal counters
@@ -111,6 +111,78 @@ TEST(ScaleChurn, IncrementalTextMatchesFullRenderAt10k) {
         auto oracle = whole_string_detector(bed.server);
         expect_same_snapshot(streaming.check(), oracle.check(), "churn checkpoint");
     }
+}
+
+TEST(ScaleChurn, SaturatedChurnKeepsQueuedStanzasInStep) {
+    // Every node busy and a standing queue, so queued stanzas outlive many
+    // polls while jobs are submitted, deleted, held, released and started
+    // under them; whole-cluster drains (every node offline) empty the
+    // running set so the stuck record names the first queued job. The
+    // streaming detector must equal the whole-string oracle on every poll,
+    // debug text included.
+    bench::P2Testbed bed(48);
+    core::PbsDetector streaming(bed.server);
+    core::PbsDetector oracle([&bed] { return bed.server.qstat_f_output(); },
+                             [&bed] { return bed.server.pbsnodes_output(); },
+                             [&bed] { return bed.engine.unix_now(); });
+    util::Rng rng(19);
+    std::vector<std::string> ids;
+    const auto submit = [&] {
+        pbs::JobScript script;
+        script.resources.nodes = static_cast<int>(rng.uniform_int(1, 2));
+        script.resources.ppn = static_cast<int>(rng.uniform_int(1, 4));
+        script.name = "sat" + std::to_string(ids.size());
+        pbs::JobBehavior behavior;
+        behavior.run_time = sim::seconds(rng.uniform_int(3'600, 36'000));
+        auto id = bed.server.submit(script, "churn" + std::to_string(ids.size() % 5),
+                                    std::move(behavior));
+        ASSERT_TRUE(id.ok());
+        ids.push_back(id.value());
+    };
+    const auto set_all_offline = [&](bool offline) {
+        for (int n = 0; n < bed.cluster.node_count(); ++n)
+            ASSERT_TRUE(bed.server.set_node_offline(bed.cluster.node(n).hostname(), offline).ok());
+    };
+    for (int i = 0; i < 300; ++i) submit();
+
+    int queued_polls = 0;
+    int stuck_polls = 0;
+    for (int op = 1; op <= 900; ++op) {
+        const auto pick = [&] {
+            return ids[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+        };
+        const auto roll = rng.uniform_int(0, 99);
+        if (roll < 40) {
+            submit();
+        } else if (roll < 50) {
+            (void)bed.server.qdel(pick());
+        } else if (roll < 58) {
+            (void)bed.server.qhold(pick());
+        } else if (roll < 68) {
+            (void)bed.server.qrls(pick());
+        } else if (roll < 69) {
+            set_all_offline(true);
+            bed.engine.run_for(sim::hours(10));  // every running job finishes
+        } else if (roll < 75) {
+            set_all_offline(false);
+        } else {
+            bed.engine.run_for(sim::seconds(rng.uniform_int(1, 300)));
+        }
+        if (op % 3 != 0) continue;
+        const auto got = streaming.check();
+        const auto want = oracle.check();
+        expect_same_snapshot(got, want, "saturated churn poll");
+        EXPECT_EQ(got.debug_text, want.debug_text) << "op " << op;
+        EXPECT_EQ(got.checked_unix, want.checked_unix) << "op " << op;
+        if (::testing::Test::HasFailure()) FAIL() << "first divergence at op " << op;
+        queued_polls += want.queued > 0 ? 1 : 0;
+        stuck_polls += want.record.stuck ? 1 : 0;
+    }
+    // The run exercised what it is for: a standing queue on most polls and
+    // a stuck queue (running = 0) on some.
+    EXPECT_GT(queued_polls, 250);
+    EXPECT_GT(stuck_polls, 20);
 }
 
 TEST(ScaleChurn, ConsistencyChecksCoverIndicesUnderChurn) {

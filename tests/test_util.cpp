@@ -1,7 +1,9 @@
 // Unit tests for hc_util: strings, Result, time formatting, RNG, tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "util/errors.hpp"
@@ -12,6 +14,7 @@
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/text_document.hpp"
 #include "util/time_format.hpp"
 
 namespace hc::util {
@@ -552,6 +555,163 @@ TEST(Histogram, SingleSamplePercentiles) {
     EXPECT_EQ(h.percentile(0.5), 7.0);
     EXPECT_EQ(h.percentile(1.0), 7.0);
     EXPECT_EQ(h.mean(), 7.0);
+}
+
+
+// ---------- TextDocument ----------
+
+std::vector<TextDocument::Key> changed(const TextDocument& doc, std::uint64_t since) {
+    std::vector<TextDocument::Key> keys;
+    EXPECT_TRUE(doc.changed_since(since, keys));
+    return keys;
+}
+
+TEST(TextDocument, ByteIdenticalSetIsANoOp) {
+    TextDocument doc;
+    doc.set(7, "node7\n");
+    EXPECT_EQ(doc.version(), 1u);
+    doc.set(7, std::string("node7\n"));
+    EXPECT_EQ(doc.version(), 1u);  // no bump
+    EXPECT_TRUE(changed(doc, 1).empty());  // no journal entry
+    EXPECT_EQ(doc.stats().sets, 1u);
+    doc.set(7, "node7 changed\n");
+    EXPECT_EQ(doc.version(), 2u);
+    EXPECT_EQ(changed(doc, 1), std::vector<TextDocument::Key>{7});
+    // A new empty chunk is a change, an empty rewrite of it is not.
+    doc.set(8, "");
+    EXPECT_EQ(doc.version(), 3u);
+    doc.set(8, "");
+    EXPECT_EQ(doc.version(), 3u);
+}
+
+TEST(TextDocument, EraseIsJournaled) {
+    TextDocument doc;
+    doc.set(1, "a");
+    doc.set(2, "bb");
+    EXPECT_EQ(doc.total_bytes(), 3u);
+    doc.erase(1);
+    EXPECT_EQ(doc.version(), 3u);
+    EXPECT_EQ(doc.find(1), nullptr);
+    EXPECT_EQ(doc.size(), 1u);
+    EXPECT_EQ(doc.total_bytes(), 2u);
+    EXPECT_EQ(changed(doc, 2), std::vector<TextDocument::Key>{1});
+    EXPECT_EQ(doc.stats().erases, 1u);
+    doc.erase(1);  // absent: no-op
+    doc.erase(99);
+    EXPECT_EQ(doc.version(), 3u);
+    EXPECT_EQ(doc.stats().erases, 1u);
+}
+
+TEST(TextDocument, ChangedSinceIsSortedAndDeduplicated) {
+    TextDocument doc;
+    doc.set(5, "e");
+    doc.set(3, "c");
+    doc.set(5, "E");
+    doc.set(1, "a");
+    doc.erase(3);
+    EXPECT_EQ(changed(doc, 0), (std::vector<TextDocument::Key>{1, 3, 5}));
+    EXPECT_EQ(changed(doc, 2), (std::vector<TextDocument::Key>{1, 3, 5}));  // versions 3, 4, 5
+    EXPECT_EQ(changed(doc, 3), (std::vector<TextDocument::Key>{1, 3}));
+    EXPECT_TRUE(changed(doc, doc.version()).empty());
+}
+
+TEST(TextDocument, ChangedSinceFailsOnceTheJournalIsTrimmedPastTheCursor) {
+    TextDocument doc;
+    doc.set(0, "x");
+    const std::uint64_t cursor = doc.version();
+    // One live chunk rewritten past the journal floor: the log is halved.
+    for (int i = 0; i < 2'000; ++i) doc.set(0, i % 2 == 0 ? "y" : "x");
+    EXPECT_GT(doc.stats().log_trims, 0u);
+    std::vector<TextDocument::Key> keys{42};
+    EXPECT_FALSE(doc.changed_since(cursor, keys));
+    EXPECT_TRUE(keys.empty());
+    // The journal still answers for its recent past.
+    EXPECT_EQ(changed(doc, doc.version() - 1), std::vector<TextDocument::Key>{0});
+}
+
+TEST(TextDocument, TextIsMemoizedAndAssembledInKeyOrder) {
+    TextDocument doc;
+    doc.set(30, "c");
+    doc.set(10, "a");
+    doc.set(20, "b");
+    EXPECT_EQ(doc.text(), "abc");
+    const std::string* first = &doc.text();
+    EXPECT_EQ(doc.text(), "abc");
+    EXPECT_EQ(&doc.text(), first);
+    EXPECT_EQ(doc.stats().assemblies, 1u);  // the second read was the memo
+    doc.set(20, "b");                       // no-op write: still memoized
+    EXPECT_EQ(doc.text(), "abc");
+    EXPECT_EQ(doc.stats().assemblies, 1u);
+    doc.erase(10);
+    EXPECT_EQ(doc.text(), "bc");
+    EXPECT_EQ(doc.stats().assemblies, 2u);
+}
+
+TEST(TextDocument, StringViewSetReusesChunkCapacity) {
+    TextDocument doc;
+    const std::string long_text(400, 'x');
+    doc.set(3, long_text);
+    const char* storage = doc.find(3)->text.data();
+    const std::string shorter(100, 'y');
+    doc.set(3, std::string_view(shorter));
+    EXPECT_EQ(doc.find(3)->text, shorter);
+    EXPECT_EQ(doc.find(3)->text.data(), storage);  // assigned in place
+    doc.set(3, std::string(399, 'z'));
+    EXPECT_EQ(doc.find(3)->text.data(), storage);
+    EXPECT_EQ(doc.find(3)->stamp, doc.version());
+    // An erased chunk's string goes back to the pool: the next new key
+    // (a new job after a finished one) is written into it.
+    doc.erase(3);
+    doc.set(4, shorter);
+    EXPECT_EQ(doc.find(4)->text, shorter);
+    EXPECT_EQ(doc.find(4)->text.data(), storage);
+}
+
+TEST(TextDocument, KeysInAnyOrderMatchAMapModel) {
+    // The slot window grows at both ends and drops emptied front slots;
+    // contents, order and byte totals must match an ordered map throughout.
+    TextDocument doc;
+    std::map<TextDocument::Key, std::string> model;
+    Rng rng(23);
+    TextDocument::Key low = 50'000;
+    for (int op = 0; op < 60'000; ++op) {
+        if (op % 2'000 == 0) low += 3'000;  // the live range drifts upward
+        const auto roll = rng.uniform_int(0, 99);
+        TextDocument::Key key = low + static_cast<TextDocument::Key>(rng.uniform_int(0, 5'000));
+        if (roll < 3) key = static_cast<TextDocument::Key>(rng.uniform_int(0, 80'000));  // strays
+        if (roll < 55) {
+            const std::string text = "k" + std::to_string(key) + "/" + std::to_string(op % 7) + "\n";
+            doc.set(key, text);
+            model[key] = text;
+        } else {
+            doc.erase(key);
+            model.erase(key);
+        }
+        if (op % 5'000 == 0 || op == 59'999) {
+            std::string want;
+            std::size_t bytes = 0;
+            for (const auto& [k, text] : model) {
+                want += text;
+                bytes += text.size();
+                ASSERT_NE(doc.find(k), nullptr) << k;
+                EXPECT_EQ(doc.find(k)->text, text);
+            }
+            EXPECT_EQ(doc.size(), model.size());
+            EXPECT_EQ(doc.total_bytes(), bytes);
+            EXPECT_EQ(doc.text(), want);
+            std::vector<TextDocument::Key> keys;
+            doc.for_each_chunk([&](TextDocument::Key k, const TextDocument::Chunk&) { keys.push_back(k); });
+            ASSERT_EQ(keys.size(), model.size());
+            EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+        }
+    }
+    // Emptied, the window re-anchors at the next key.
+    for (const auto& [k, _] : model) doc.erase(k);
+    EXPECT_EQ(doc.size(), 0u);
+    EXPECT_EQ(doc.text(), "");
+    doc.set(3, "three");
+    doc.set(1'000'000, "million");
+    EXPECT_EQ(doc.text(), "threemillion");
 }
 
 }  // namespace
