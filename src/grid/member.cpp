@@ -97,8 +97,10 @@ MemberLoad GridMember::load(OsType os) {
             load.queued_cpus += job->resources.total_cpus();
     } else {
         load.free_cpus = hybrid_->winhpc().free_cores();
-        for (const auto* job : hybrid_->winhpc().get_jobs(winhpc::HpcJobState::kQueued))
-            load.queued_cpus += job->needed_cpus(hybrid_->config().cluster.cores_per_node);
+        const int cores_per_node = hybrid_->config().cluster.cores_per_node;
+        for (const winhpc::HpcJob* job = hybrid_->winhpc().first_queued_job(); job != nullptr;
+             job = job->queue_next)
+            load.queued_cpus += job->needed_cpus(cores_per_node);
     }
     return load;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pbs/resource_list.hpp"
+#include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace hc::pbs {
@@ -73,6 +74,11 @@ struct Job {
     std::vector<int> exec_record_indices; ///< server NodeRecord indices (release fast path)
     CompletionKind completion = CompletionKind::kNone;
     int requeue_count = 0;
+
+    // Pending timers of the current run. Cancelling an id whose event has
+    // already fired is a no-op, so they need no clearing when they fire.
+    sim::EventId completion_event;
+    sim::EventId walltime_event;  ///< valid only when walltime < run time
 
     JobBehavior behavior;
 

@@ -1,5 +1,8 @@
 #include "pbs/resource_list.hpp"
 
+#include <limits>
+
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace hc::pbs {
@@ -7,14 +10,23 @@ namespace hc::pbs {
 using util::Error;
 using util::Result;
 
+namespace {
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+/// Longest walltime accepted, the span limit every spec loader applies.
+constexpr long long kMaxWalltimeSeconds = static_cast<long long>(util::kSpecHoursMax) * 3600;
+}  // namespace
+
 Result<sim::Duration> parse_walltime(const std::string& text) {
     const auto parts = util::split(text, ':');
     if (parts.empty() || parts.size() > 3) return Error{"bad walltime: " + text};
+    // total and each component stay at or below kMaxWalltimeSeconds, so
+    // total * 60 + v cannot overflow.
     std::int64_t total = 0;
     for (const auto& p : parts) {
         const long long v = util::parse_uint(std::string(util::trim(p)));
-        if (v < 0) return Error{"bad walltime component: " + p};
+        if (v < 0 || v > kMaxWalltimeSeconds) return Error{"bad walltime component: " + p};
         total = total * 60 + v;
+        if (total > kMaxWalltimeSeconds) return Error{"walltime too long: " + text};
     }
     return sim::seconds(static_cast<double>(total));
 }
@@ -48,12 +60,14 @@ Result<ResourceList> ResourceList::parse(const std::string& spec) {
             // nodes=<count>[:ppn=<n>][:prop]...
             const auto fields = util::split(value, ':');
             const long long count = util::parse_uint(fields[0]);
-            if (count <= 0) return Error{"bad node count: " + fields[0]};
+            if (count <= 0 || count > kIntMax) return Error{"bad node count: " + fields[0]};
             rl.nodes = static_cast<int>(count);
             for (std::size_t i = 1; i < fields.size(); ++i) {
                 if (fields[i].rfind("ppn=", 0) == 0) {
                     const long long ppn = util::parse_uint(fields[i].substr(4));
-                    if (ppn <= 0) return Error{"bad ppn: " + fields[i]};
+                    if (ppn <= 0 || ppn > kIntMax) return Error{"bad ppn: " + fields[i]};
+                    // Both factors fit in int, so the product fits in long long.
+                    if (count * ppn > kIntMax) return Error{"too many cpus: " + value};
                     rl.ppn = static_cast<int>(ppn);
                 } else if (!fields[i].empty()) {
                     rl.properties.push_back(fields[i]);

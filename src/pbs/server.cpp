@@ -611,8 +611,7 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
 
     // Natural completion.
     const std::uint64_t seq = job.seq;
-    completion_events_[seq] = engine_.schedule_after(job.behavior.run_time, [this, seq] {
-        completion_events_.erase(seq);
+    job.completion_event = engine_.schedule_after(job.behavior.run_time, [this, seq] {
         Job* j = job_by_seq(seq);
         if (j != nullptr && j->state == JobState::kRunning)
             finish_job(*j, CompletionKind::kNormal);
@@ -621,8 +620,7 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     // Walltime enforcement.
     if (config_.enforce_walltime && job.resources.walltime.has_value() &&
         *job.resources.walltime < job.behavior.run_time) {
-        walltime_events_[seq] = engine_.schedule_after(*job.resources.walltime, [this, seq] {
-            walltime_events_.erase(seq);
+        job.walltime_event = engine_.schedule_after(*job.resources.walltime, [this, seq] {
             Job* j = job_by_seq(seq);
             if (j != nullptr && j->state == JobState::kRunning)
                 finish_job(*j, CompletionKind::kWalltime);
@@ -630,15 +628,9 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     }
 }
 
-void PbsServer::cancel_timers(std::uint64_t seq) {
-    if (auto it = completion_events_.find(seq); it != completion_events_.end()) {
-        engine_.cancel(it->second);
-        completion_events_.erase(it);
-    }
-    if (auto it = walltime_events_.find(seq); it != walltime_events_.end()) {
-        engine_.cancel(it->second);
-        walltime_events_.erase(it);
-    }
+void PbsServer::cancel_timers(Job& job) {
+    engine_.cancel(std::exchange(job.completion_event, {}));
+    engine_.cancel(std::exchange(job.walltime_event, {}));
 }
 
 void PbsServer::release_allocation(Job& job) {
@@ -676,8 +668,7 @@ void PbsServer::purge_completed() {
 }
 
 void PbsServer::finish_job(Job& job, CompletionKind kind) {
-    // Cancel any pending timers for this job.
-    cancel_timers(job.seq);
+    cancel_timers(job);
     queue_unlink(job);  // no-op unless the job was still queued
     release_allocation(job);
     job.state = JobState::kCompleted;
@@ -749,7 +740,7 @@ void PbsServer::handle_node_down(Node& node) {
             // Requeue: release everything, restore queued state. The job
             // keeps its original qtime, so FCFS order is preserved (it goes
             // back to the head region of the queue by seq order).
-            cancel_timers(seq);
+            cancel_timers(*job);
             release_allocation(*job);
             job->state = JobState::kQueued;
             job->stime_unix = 0;
@@ -781,8 +772,6 @@ PbsServer::SavedState PbsServer::save_state() const {
         s.eligible_order.push_back(j->seq);
     s.completed_order = completed_order_;
     s.queue_unlinks = queue_unlinks_;
-    s.completion_events = completion_events_;
-    s.walltime_events = walltime_events_;
     s.stats = stats_;
     s.version = version_;
     s.free_cpu_agg = free_cpu_agg_;
@@ -827,8 +816,6 @@ void PbsServer::restore_state(const SavedState& s) {
     }
     completed_order_ = s.completed_order;
     queue_unlinks_ = s.queue_unlinks;
-    completion_events_ = s.completion_events;
-    walltime_events_ = s.walltime_events;
     in_cycle_ = false;
     cycle_again_ = false;
     stats_ = s.stats;

@@ -254,7 +254,7 @@ private:
     void finish_job(Job& job, CompletionKind kind);
     void release_allocation(Job& job);
     /// Cancel and forget the job's pending completion/walltime events.
-    void cancel_timers(std::uint64_t seq);
+    void cancel_timers(Job& job);
     void handle_node_up(cluster::Node& node, cluster::OsType os);
     void handle_node_down(cluster::Node& node);
     [[nodiscard]] std::optional<std::vector<int>> try_place(const Job& job) const;
@@ -314,8 +314,6 @@ private:
     std::size_t eligible_count_ = 0;
     std::uint64_t queue_unlinks_ = 0;  ///< guards cycle iteration vs. reentrant removal
 
-    std::unordered_map<std::uint64_t, sim::EventId> completion_events_;  ///< by seq
-    std::unordered_map<std::uint64_t, sim::EventId> walltime_events_;    ///< by seq
     void emit_event(JobEvent event, const Job& job);
 
     std::vector<std::function<void(const Job&)>> terminal_subscribers_;
@@ -360,11 +358,11 @@ private:
 
 public:
     /// World-snapshot hook (DESIGN.md "Snapshot / fork"). Captures every
-    /// mutable field — job records (deep copies), the eligible-queue order,
-    /// node records, index sets, pending completion/walltime EventIds, the
-    /// incremental text documents and their dirty lists — so a restore
-    /// resumes byte-identically, including qstat/pbsnodes document versions
-    /// the detector streams against. Node/name indices and subscribers are
+    /// mutable field — job records (deep copies, which carry their pending
+    /// completion/walltime EventIds), the eligible-queue order, node
+    /// records, index sets, the incremental text documents and their dirty
+    /// lists — so a restore resumes byte-identically, including
+    /// qstat/pbsnodes document versions the detector streams against. Node/name indices and subscribers are
     /// construction wiring and are left untouched. Must be taken/restored
     /// outside a scheduler cycle, paired with an Engine::restore() of the
     /// calendar the EventIds point into.
@@ -375,8 +373,6 @@ public:
         std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
         std::deque<std::uint64_t> completed_order;
         std::uint64_t queue_unlinks = 0;
-        std::unordered_map<std::uint64_t, sim::EventId> completion_events;
-        std::unordered_map<std::uint64_t, sim::EventId> walltime_events;
         ServerStats stats;
         std::uint64_t version = 0;
         int free_cpu_agg = 0;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 namespace hc::util {
 
@@ -108,8 +109,9 @@ long long parse_uint(std::string_view s) {
     long long v = 0;
     for (char c : s) {
         if (c < '0' || c > '9') return -1;
-        v = v * 10 + (c - '0');
-        if (v < 0) return -1;  // overflow
+        const int digit = c - '0';
+        if (v > (std::numeric_limits<long long>::max() - digit) / 10) return -1;  // overflow
+        v = v * 10 + digit;
     }
     return v;
 }

@@ -39,7 +39,8 @@ namespace hc::util {
 /// Right-pad with `fill` to at least `width` characters.
 [[nodiscard]] std::string pad_right(std::string_view s, std::size_t width, char fill = ' ');
 
-/// Parse a non-negative integer; returns -1 on any non-digit content.
+/// Parse a non-negative integer; returns -1 on any non-digit content and on
+/// a value that does not fit in long long.
 /// (Fixed-width numeric fields in the detector record are always unsigned.)
 [[nodiscard]] long long parse_uint(std::string_view s);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "util/errors.hpp"
 
@@ -90,22 +91,14 @@ void HpcScheduler::update_node_state(std::size_t idx) {
         rec.in_online_agg = online;
         free_core_agg_ += online ? rec.free_count : -rec.free_count;
     }
-    const bool want_free = online && rec.free_count > 0;
-    if (want_free != rec.in_free_set) {
-        if (want_free)
-            free_nodes_.insert(static_cast<int>(idx));
-        else
-            free_nodes_.erase(static_cast<int>(idx));
-        rec.in_free_set = want_free;
-    }
-    const bool want_idle = online && rec.used_cores() == 0;
-    if (want_idle != rec.in_idle_set) {
-        if (want_idle)
-            idle_nodes_.insert(static_cast<int>(idx));
-        else
-            idle_nodes_.erase(static_cast<int>(idx));
-        rec.in_idle_set = want_idle;
-    }
+    if (online && rec.free_count > 0)
+        free_.set(idx);
+    else
+        free_.reset(idx);
+    if (online && rec.used_cores() == 0)
+        idle_.set(idx);
+    else
+        idle_.reset(idx);
 }
 
 void HpcScheduler::adjust_free(std::size_t idx, int delta) {
@@ -191,16 +184,14 @@ void HpcScheduler::verify_incremental_state() const {
         auto nit = name_index_.find(rec.node->hostname());
         util::ensure(nit != name_index_.end() && nit->second == i,
                      "consistency: name_index_ diverged");
-        util::ensure(rec.in_free_set == (online && free > 0),
-                     "consistency: free-node set membership diverged");
-        util::ensure(rec.in_free_set == (free_nodes_.count(static_cast<int>(i)) != 0),
-                     "consistency: free-node set flag diverged from set");
-        const bool idle = online && rec.used_cores() == 0;
-        util::ensure(rec.in_idle_set == idle,
-                     "consistency: idle-node set membership diverged");
-        util::ensure(rec.in_idle_set == (idle_nodes_.count(static_cast<int>(i)) != 0),
-                     "consistency: idle-node set flag diverged from set");
+        util::ensure(free_.test(i) == (online && free > 0),
+                     "consistency: free-node bitset membership diverged");
+        util::ensure(idle_.test(i) == (online && free == static_cast<int>(rec.core_owner.size())),
+                     "consistency: idle-node bitset membership diverged");
     }
+    util::ensure(free_.next(nodes_.size()) == util::IndexBitset::npos &&
+                     idle_.next(nodes_.size()) == util::IndexBitset::npos,
+                 "consistency: candidate bit set past the last record");
     util::ensure(agg == free_core_agg_, "consistency: free-core aggregate diverged");
     util::ensure(total == total_cores_, "consistency: total-core count diverged");
 
@@ -222,10 +213,14 @@ void HpcScheduler::verify_incremental_state() const {
     util::ensure(linked == queued_count_, "consistency: queued count diverged");
     std::size_t queued = 0;
     std::size_t running = 0;
-    for (const auto& [_, job] : jobs_) {
-        if (job->state == HpcJobState::kQueued) ++queued;
-        if (job->state == HpcJobState::kRunning) ++running;
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        const HpcJob& job = *jobs_[i];
+        util::ensure(job.id == static_cast<int>(i) + 1, "consistency: job table out of id order");
+        if (job.state == HpcJobState::kQueued) ++queued;
+        if (job.state == HpcJobState::kRunning) ++running;
     }
+    util::ensure(jobs_.size() + 1 == static_cast<std::size_t>(next_id_),
+                 "consistency: job table size diverged from the next id");
     util::ensure(queued == queued_count_,
                  "consistency: a queued job is missing from the queued list");
     util::ensure(running == running_count_, "consistency: running count diverged");
@@ -256,7 +251,7 @@ int HpcScheduler::submit_job(HpcJobSpec spec) {
     job->state = HpcJobState::kQueued;
     const int id = job->id;
     HpcJob* raw = job.get();
-    jobs_[id] = std::move(job);
+    jobs_.push_back(std::move(job));  // slot id - 1
     queue_push_back(*raw);  // ids are monotonic, so append keeps order
     ++stats_.submitted;
     engine_.logger().debug("winhpc/" + config_.cluster_name, "submit job " + std::to_string(id));
@@ -264,10 +259,15 @@ int HpcScheduler::submit_job(HpcJobSpec spec) {
     return id;
 }
 
+HpcJob* HpcScheduler::job_by_id(int id) const {
+    if (id < 1 || static_cast<std::size_t>(id) > jobs_.size()) return nullptr;
+    return jobs_[static_cast<std::size_t>(id) - 1].get();
+}
+
 Status HpcScheduler::cancel_job(int id) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) return Error{"cancel_job: unknown job " + std::to_string(id)};
-    HpcJob& job = *it->second;
+    HpcJob* found = job_by_id(id);
+    if (found == nullptr) return Error{"cancel_job: unknown job " + std::to_string(id)};
+    HpcJob& job = *found;
     if (job.state == HpcJobState::kQueued || job.state == HpcJobState::kRunning) {
         finish_job(job, HpcJobState::kCanceled,
                    job.state == HpcJobState::kQueued ? "canceled while queued"
@@ -277,22 +277,20 @@ Status HpcScheduler::cancel_job(int id) {
     return Error{"cancel_job: job not active"};
 }
 
-const HpcJob* HpcScheduler::get_job(int id) const {
-    auto it = jobs_.find(id);
-    return it == jobs_.end() ? nullptr : it->second.get();
-}
+const HpcJob* HpcScheduler::get_job(int id) const { return job_by_id(id); }
 
 std::vector<const HpcJob*> HpcScheduler::get_jobs(std::optional<HpcJobState> filter) const {
     std::vector<const HpcJob*> out;
-    for (const auto& [_, job] : jobs_)
+    for (const auto& job : jobs_)
         if (!filter.has_value() || job->state == *filter) out.push_back(job.get());
     return out;
 }
 
 std::vector<const HpcNodeRecord*> HpcScheduler::fully_idle_nodes() const {
     std::vector<const HpcNodeRecord*> out;
-    out.reserve(idle_nodes_.size());
-    for (int idx : idle_nodes_) out.push_back(&nodes_[static_cast<std::size_t>(idx)]);
+    out.reserve(idle_.count());
+    for (std::size_t i = idle_.next(0); i != util::IndexBitset::npos; i = idle_.next(i + 1))
+        out.push_back(&nodes_[i]);
     return out;
 }
 
@@ -310,22 +308,22 @@ void HpcScheduler::on_job_terminal(std::function<void(const HpcJob&)> fn) {
 }
 
 std::optional<std::vector<int>> HpcScheduler::try_place(const HpcJob& job) const {
-    // Candidates come from the incrementally maintained sets (ascending
+    // Candidates come from the incrementally maintained bitsets (ascending
     // index, the same visit order as a full scan): node-unit jobs want fully
     // idle Online nodes, core-unit jobs accumulate free cores.
+    constexpr std::size_t npos = util::IndexBitset::npos;
     std::vector<int> chosen;
     if (job.unit == JobUnitType::kNode) {
-        for (int idx : idle_nodes_) {
-            chosen.push_back(idx);
+        for (std::size_t i = idle_.next(0); i != npos; i = idle_.next(i + 1)) {
+            chosen.push_back(static_cast<int>(i));
             if (static_cast<int>(chosen.size()) == job.min_resources) return chosen;
         }
         return std::nullopt;
     }
     int cores_found = 0;
-    for (int idx : free_nodes_) {
-        const HpcNodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        chosen.push_back(idx);
-        cores_found += rec.free_cores();
+    for (std::size_t i = free_.next(0); i != npos; i = free_.next(i + 1)) {
+        chosen.push_back(static_cast<int>(i));
+        cores_found += nodes_[i].free_cores();
         if (cores_found >= job.min_resources) return chosen;
     }
     return std::nullopt;
@@ -382,7 +380,7 @@ void HpcScheduler::schedule_cycle() {
             // the stuck steady state.
             const bool may_fit =
                 job->unit == JobUnitType::kNode
-                    ? job->min_resources <= static_cast<int>(idle_nodes_.size())
+                    ? job->min_resources <= static_cast<int>(idle_.count())
                     : job->min_resources <= free_core_agg_;
             std::optional<std::vector<int>> placement;
             if (may_fit) placement = try_place(*job);
@@ -429,7 +427,6 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
         }
         adjust_free(static_cast<std::size_t>(idx), -(taking - to_take));
         job.allocated_node_indices.push_back(rec.node->index());
-        job.allocated_node_names.push_back(rec.node->short_name());
         job.allocated_record_indices.push_back(idx);
     }
     ++stats_.started;
@@ -438,11 +435,10 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
     if (job.on_start) job.on_start(job);
     if (job.tasks.empty()) {
         // Implicit single activity: the whole job runs for run_time.
-        completion_events_[job.id] = engine_.schedule_after(job.run_time, [this, id = job.id] {
-            completion_events_.erase(id);
-            auto it = jobs_.find(id);
-            if (it != jobs_.end() && it->second->state == HpcJobState::kRunning)
-                finish_job(*it->second, HpcJobState::kFinished, "completed");
+        job.completion_event = engine_.schedule_after(job.run_time, [this, id = job.id] {
+            HpcJob* j = job_by_id(id);
+            if (j != nullptr && j->state == HpcJobState::kRunning)
+                finish_job(*j, HpcJobState::kFinished, "completed");
         });
     } else {
         // Task-parallel job: one lane per allocated node (node unit) or per
@@ -455,30 +451,29 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
         for (int lane = 0; lane < lanes; ++lane) launch_next_task(job.id);
     }
     if (job.runtime_limit.has_value() && *job.runtime_limit < job.run_time) {
-        limit_events_[job.id] = engine_.schedule_after(*job.runtime_limit, [this, id = job.id] {
-            limit_events_.erase(id);
-            auto it = jobs_.find(id);
-            if (it != jobs_.end() && it->second->state == HpcJobState::kRunning) {
+        job.limit_event = engine_.schedule_after(*job.runtime_limit, [this, id = job.id] {
+            HpcJob* j = job_by_id(id);
+            if (j != nullptr && j->state == HpcJobState::kRunning) {
                 ++stats_.killed_runtime_limit;
-                finish_job(*it->second, HpcJobState::kFailed, "runtime limit");
+                finish_job(*j, HpcJobState::kFailed, "runtime limit");
             }
         });
     }
 }
 
 void HpcScheduler::launch_next_task(int job_id) {
-    auto it = jobs_.find(job_id);
-    if (it == jobs_.end() || it->second->state != HpcJobState::kRunning) return;
-    HpcJob& job = *it->second;
+    HpcJob* found = job_by_id(job_id);
+    if (found == nullptr || found->state != HpcJobState::kRunning) return;
+    HpcJob& job = *found;
     if (job.next_task_index >= static_cast<int>(job.tasks.size())) return;
     HpcTask& task = job.tasks[static_cast<std::size_t>(job.next_task_index++)];
     task.state = HpcJobState::kRunning;
     task.start_unix = engine_.unix_now();
     const int task_id = task.id;
     const auto event = engine_.schedule_after(task.run_time, [this, job_id, task_id] {
-        auto jit = jobs_.find(job_id);
-        if (jit == jobs_.end() || jit->second->state != HpcJobState::kRunning) return;
-        HpcJob& running = *jit->second;
+        HpcJob* j = job_by_id(job_id);
+        if (j == nullptr || j->state != HpcJobState::kRunning) return;
+        HpcJob& running = *j;
         HpcTask& done = running.tasks[static_cast<std::size_t>(task_id) - 1];
         done.state = HpcJobState::kFinished;
         done.end_unix = engine_.unix_now();
@@ -489,7 +484,7 @@ void HpcScheduler::launch_next_task(int job_id) {
             launch_next_task(job_id);
         }
     });
-    task_events_[job_id].push_back(event);
+    job.task_events.push_back(event);
 }
 
 void HpcScheduler::release_allocation(HpcJob& job) {
@@ -507,27 +502,22 @@ void HpcScheduler::release_allocation(HpcJob& job) {
         if (freed > 0) adjust_free(static_cast<std::size_t>(idx), freed);
     }
     job.allocated_node_indices.clear();
-    job.allocated_node_names.clear();
     job.allocated_record_indices.clear();
 }
 
+void HpcScheduler::cancel_timers(HpcJob& job) {
+    engine_.cancel(std::exchange(job.completion_event, {}));
+    engine_.cancel(std::exchange(job.limit_event, {}));
+    for (const sim::EventId event : job.task_events) engine_.cancel(event);
+    std::vector<sim::EventId>().swap(job.task_events);  // release the storage too
+}
+
 void HpcScheduler::finish_job(HpcJob& job, HpcJobState terminal, const char* why) {
-    if (auto it = completion_events_.find(job.id); it != completion_events_.end()) {
-        engine_.cancel(it->second);
-        completion_events_.erase(it);
-    }
-    if (auto it = task_events_.find(job.id); it != task_events_.end()) {
-        for (auto& event : it->second) engine_.cancel(event);
-        task_events_.erase(it);
-    }
+    cancel_timers(job);
     // Tasks still in flight share the job's fate.
     for (auto& task : job.tasks)
         if (task.state == HpcJobState::kRunning || task.state == HpcJobState::kQueued)
             task.state = terminal == HpcJobState::kFinished ? HpcJobState::kFinished : terminal;
-    if (auto it = limit_events_.find(job.id); it != limit_events_.end()) {
-        engine_.cancel(it->second);
-        limit_events_.erase(it);
-    }
     queue_unlink(job);  // no-op unless the job was still queued
     if (job.state == HpcJobState::kRunning) --running_count_;
     release_allocation(job);
@@ -544,18 +534,7 @@ void HpcScheduler::finish_job(HpcJob& job, HpcJobState terminal, const char* why
 }
 
 void HpcScheduler::requeue_job(HpcJob& job) {
-    if (auto it = completion_events_.find(job.id); it != completion_events_.end()) {
-        engine_.cancel(it->second);
-        completion_events_.erase(it);
-    }
-    if (auto it = task_events_.find(job.id); it != task_events_.end()) {
-        for (auto& event : it->second) engine_.cancel(event);
-        task_events_.erase(it);
-    }
-    if (auto it = limit_events_.find(job.id); it != limit_events_.end()) {
-        engine_.cancel(it->second);
-        limit_events_.erase(it);
-    }
+    cancel_timers(job);
     release_allocation(job);
     // Tasks restart from scratch on the next placement.
     for (auto& task : job.tasks) {
@@ -593,13 +572,13 @@ void HpcScheduler::handle_node_down(Node& node) {
         if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
     for (int id : victims) {
-        auto it = jobs_.find(id);
-        if (it == jobs_.end() || it->second->state != HpcJobState::kRunning) continue;
-        if (it->second->rerun_on_failure) {
-            requeue_job(*it->second);
+        HpcJob* job = job_by_id(id);
+        if (job == nullptr || job->state != HpcJobState::kRunning) continue;
+        if (job->rerun_on_failure) {
+            requeue_job(*job);
         } else {
             ++stats_.failed_node_loss;
-            finish_job(*it->second, HpcJobState::kFailed, "node lost");
+            finish_job(*job, HpcJobState::kFailed, "node lost");
         }
     }
     schedule_cycle();
@@ -623,17 +602,15 @@ HpcScheduler::SavedState HpcScheduler::save_state() const {
     SavedState s;
     s.next_id = next_id_;
     s.nodes = nodes_;
-    for (const auto& [id, job] : jobs_) s.jobs.emplace(id, *job);
+    s.jobs.reserve(jobs_.size());
+    for (const auto& job : jobs_) s.jobs.push_back(*job);
     for (const HpcJob* j = queue_head_; j != nullptr; j = j->queue_next)
         s.queue_order.push_back(j->id);
     s.running_count = running_count_;
     s.queue_unlinks = queue_unlinks_;
     s.free_core_agg = free_core_agg_;
-    s.free_nodes = free_nodes_;
-    s.idle_nodes = idle_nodes_;
-    s.completion_events = completion_events_;
-    s.task_events = task_events_;
-    s.limit_events = limit_events_;
+    s.free = free_;
+    s.idle = idle_;
     s.stats = stats_;
     return s;
 }
@@ -643,17 +620,18 @@ void HpcScheduler::restore_state(const SavedState& s) {
     next_id_ = s.next_id;
     nodes_ = s.nodes;
     jobs_.clear();
-    for (const auto& [id, job] : s.jobs) {
+    jobs_.reserve(s.jobs.size());
+    for (const HpcJob& job : s.jobs) {
         auto copy = std::make_unique<HpcJob>(job);
         copy->queue_prev = nullptr;  // relinked below from the saved order
         copy->queue_next = nullptr;
-        jobs_.emplace(id, std::move(copy));
+        jobs_.push_back(std::move(copy));
     }
     queue_head_ = nullptr;
     queue_tail_ = nullptr;
     queued_count_ = 0;
     for (const int id : s.queue_order) {
-        HpcJob* job = jobs_.at(id).get();
+        HpcJob* job = job_by_id(id);
         job->in_queue = true;
         job->queue_prev = queue_tail_;
         if (queue_tail_ != nullptr)
@@ -666,11 +644,8 @@ void HpcScheduler::restore_state(const SavedState& s) {
     running_count_ = s.running_count;
     queue_unlinks_ = s.queue_unlinks;
     free_core_agg_ = s.free_core_agg;
-    free_nodes_ = s.free_nodes;
-    idle_nodes_ = s.idle_nodes;
-    completion_events_ = s.completion_events;
-    task_events_ = s.task_events;
-    limit_events_ = s.limit_events;
+    free_ = s.free;
+    idle_ = s.idle;
     in_cycle_ = false;
     cycle_again_ = false;
     stats_ = s.stats;

@@ -6,20 +6,25 @@
 // (modelled on IScheduler/ISchedulerJob) and the Windows detector consumes
 // it directly, preserving the paper's asymmetry with the text-scraping PBS
 // detector.
+//
+// State is kept the way PbsServer keeps it: jobs in a dense table indexed by
+// id - 1 (ids are issued 1, 2, 3, ... and never erased), a running job's
+// pending timers on the job itself, placement candidates in util::IndexBitset
+// sets walked in ascending record order, and an intrusive FCFS list of the
+// queued jobs (see DESIGN.md "Indexed scheduler state").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/node.hpp"
 #include "sim/engine.hpp"
+#include "util/index_bitset.hpp"
 #include "util/result.hpp"
 
 namespace hc::winhpc {
@@ -92,8 +97,7 @@ struct HpcJob {
     std::int64_t submit_unix = 0;
     std::int64_t start_unix = 0;
     std::int64_t end_unix = 0;
-    std::vector<int> allocated_node_indices;
-    std::vector<std::string> allocated_node_names;
+    std::vector<int> allocated_node_indices;    ///< cluster node indices allocated
     std::vector<int> allocated_record_indices;  ///< scheduler records (release fast path)
     int requeue_count = 0;
     sim::Duration run_time{};
@@ -103,6 +107,12 @@ struct HpcJob {
     std::optional<sim::Duration> runtime_limit;
     std::function<void(HpcJob&)> on_start;
     std::function<void(HpcJob&)> on_finish;
+
+    // Pending timers of the current run. Cancelling an id whose event has
+    // already fired is a no-op, so they need no clearing when they fire.
+    sim::EventId completion_event;          ///< implicit single-activity jobs
+    sim::EventId limit_event;               ///< runtime_limit kill
+    std::vector<sim::EventId> task_events;  ///< one per launched task
 
     // Intrusive membership in the scheduler's queued-job FCFS list (id
     // order). Maintained by HpcScheduler exclusively; started/canceled jobs
@@ -129,8 +139,6 @@ struct HpcNodeRecord {
     // placement scan never re-count core_owner.
     int free_count = 0;         ///< cached number of zero core_owner slots
     bool in_online_agg = false; ///< contributing to the free-core aggregate
-    bool in_free_set = false;   ///< member of the core-placement candidate set
-    bool in_idle_set = false;   ///< member of the fully-idle set
 
     [[nodiscard]] int free_cores() const { return free_count; }
     [[nodiscard]] int used_cores() const {
@@ -190,12 +198,12 @@ public:
     /// Online nodes with zero allocation — OS-switch candidates.
     [[nodiscard]] std::vector<const HpcNodeRecord*> fully_idle_nodes() const;
     /// O(1) count of the above (the detector only needs the number).
-    [[nodiscard]] int fully_idle_count() const { return static_cast<int>(idle_nodes_.size()); }
+    [[nodiscard]] int fully_idle_count() const { return static_cast<int>(idle_.count()); }
 
     [[nodiscard]] util::Status set_node_online(const std::string& name, bool online);
 
     /// Test hook: cross-check every incremental shortcut (cached counts,
-    /// aggregates, set membership, the queued list) against a brute-force
+    /// aggregates, bitset membership, the queued list) against a brute-force
     /// recount each cycle and throw on divergence.
     void enable_consistency_checks(bool on) { consistency_checks_ = on; }
 
@@ -211,10 +219,14 @@ public:
     [[nodiscard]] std::string node_list_output() const;
 
 private:
+    /// Job by id, or nullptr for an id this scheduler never issued. O(1).
+    [[nodiscard]] HpcJob* job_by_id(int id) const;
     void start_job(HpcJob& job, const std::vector<int>& record_indices);
     void launch_next_task(int job_id);
     void finish_job(HpcJob& job, HpcJobState terminal, const char* why);
     void release_allocation(HpcJob& job);
+    /// Cancel and forget the job's pending completion/task/limit events.
+    void cancel_timers(HpcJob& job);
     void handle_node_up(cluster::Node& node, cluster::OsType os);
     void handle_node_down(cluster::Node& node);
     void requeue_job(HpcJob& job);
@@ -224,8 +236,8 @@ private:
     [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
     /// Adjust a record's cached free count and the Online aggregate.
     void adjust_free(std::size_t idx, int delta);
-    /// Re-evaluate the record's Online membership and set memberships after
-    /// a reachability / admin / allocation change.
+    /// Re-evaluate the record's Online membership and bitset memberships
+    /// after a reachability / admin / allocation change.
     void update_node_state(std::size_t idx);
     void verify_incremental_state() const;
 
@@ -240,7 +252,7 @@ private:
     std::vector<HpcNodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
-    std::map<int, std::unique_ptr<HpcJob>> jobs_;
+    std::vector<std::unique_ptr<HpcJob>> jobs_;  ///< job id - 1 → job (never erased)
 
     HpcJob* queue_head_ = nullptr;
     HpcJob* queue_tail_ = nullptr;
@@ -250,13 +262,10 @@ private:
 
     int total_cores_ = 0;
     int free_core_agg_ = 0;  ///< free cores on Online nodes
-    std::set<int> free_nodes_;  ///< Online, free_cores > 0 (core-unit candidates)
-    std::set<int> idle_nodes_;  ///< Online, used_cores == 0 (node-unit candidates)
+    util::IndexBitset free_;  ///< Online, free_cores > 0 (core-unit candidates)
+    util::IndexBitset idle_;  ///< Online, used_cores == 0 (node-unit candidates)
     bool consistency_checks_ = false;
 
-    std::map<int, sim::EventId> completion_events_;
-    std::map<int, std::vector<sim::EventId>> task_events_;  ///< pending task completions
-    std::map<int, sim::EventId> limit_events_;
     std::vector<std::function<void(const HpcJob&)>> terminal_subscribers_;
     bool in_cycle_ = false;
     bool cycle_again_ = false;
@@ -266,21 +275,20 @@ private:
 
 public:
     /// World-snapshot hook, mirroring PbsServer::SavedState: deep job
-    /// copies, the queued-list order, node records, index sets, and the
-    /// pending completion/task/limit EventIds. Pair with Engine::restore().
+    /// copies in id order (which carry their pending completion/task/limit
+    /// EventIds), the queued-list order, node records and the candidate
+    /// bitsets. Pair with Engine::restore() of the calendar the ids point
+    /// into.
     struct SavedState {
         int next_id = 1;
         std::vector<HpcNodeRecord> nodes;
-        std::map<int, HpcJob> jobs;
+        std::vector<HpcJob> jobs;      ///< jobs[i] has id i + 1
         std::vector<int> queue_order;  ///< head→tail job-id list
         std::size_t running_count = 0;
         std::uint64_t queue_unlinks = 0;
         int free_core_agg = 0;
-        std::set<int> free_nodes;
-        std::set<int> idle_nodes;
-        std::map<int, sim::EventId> completion_events;
-        std::map<int, std::vector<sim::EventId>> task_events;
-        std::map<int, sim::EventId> limit_events;
+        util::IndexBitset free;
+        util::IndexBitset idle;
         HpcStats stats;
     };
     [[nodiscard]] SavedState save_state() const;

@@ -58,6 +58,16 @@ TEST(ResourceList, RejectsBadInput) {
     EXPECT_FALSE(ResourceList::parse("walltime=01:00:00").ok());  // missing nodes
     EXPECT_FALSE(ResourceList::parse("mem=4gb").ok());
     EXPECT_FALSE(ResourceList::parse("nodes").ok());
+    // Counts from outside the process must fit in int, and so must their
+    // product (total_cpus); a walltime is bounded like every spec span.
+    EXPECT_FALSE(ResourceList::parse("nodes=100000:ppn=100000").ok());
+    EXPECT_FALSE(ResourceList::parse("nodes=4294967297").ok());
+    EXPECT_FALSE(ResourceList::parse("nodes=1:ppn=4294967297").ok());
+    EXPECT_FALSE(ResourceList::parse("nodes=1,walltime=99999999999999999999").ok());
+    EXPECT_FALSE(ResourceList::parse("nodes=1,walltime=1:99999999999999999:00").ok());
+    EXPECT_FALSE(ResourceList::parse("nodes=1,walltime=1000001:00:00").ok());
+    EXPECT_TRUE(ResourceList::parse("nodes=1,walltime=1000000:00:00").ok());
+    EXPECT_TRUE(ResourceList::parse("nodes=2147483647").ok());
 }
 
 TEST(Walltime, Formats) {
@@ -611,7 +621,8 @@ struct ChurnWorld {
     }
 
     /// Everything observable: both text outputs (checked against their
-    /// reference renders), the lifecycle log and the counters.
+    /// reference renders), the lifecycle log, the server counters and the
+    /// calendar counters (a timer left uncancelled shows there).
     std::string fingerprint() {
         const std::string nodes_text = server->pbsnodes_output();
         const std::string jobs_text = server->qstat_f_output();
@@ -622,7 +633,10 @@ struct ChurnWorld {
                std::to_string(st.started) + "/" + std::to_string(st.completed_normal) + "/" +
                std::to_string(st.deleted) + "/" + std::to_string(st.aborted_node_failure) +
                "/" + std::to_string(st.killed_walltime) + "/" + std::to_string(st.requeued) +
-               "/" + std::to_string(st.purged) + "/" + std::to_string(server->version());
+               "/" + std::to_string(st.purged) + "/" + std::to_string(server->version()) +
+               " events " + std::to_string(engine.stats().scheduled) + "/" +
+               std::to_string(engine.stats().dispatched) + "/" +
+               std::to_string(engine.stats().cancelled);
     }
 };
 

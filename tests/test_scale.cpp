@@ -11,7 +11,9 @@
 //  * the P2 stream harness is golden-deterministic (bitwise-equal counters
 //    run to run, with and without brute-force consistency checks);
 //  * completed-job retention actually bounds live records;
-//  * the detector survives a change-journal trim by resyncing.
+//  * the detector survives a change-journal trim by resyncing;
+//  * the Windows scheduler's bitsets, job table and on-job timers agree with
+//    brute force under churn and replay exactly from a mid-churn snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,9 +38,9 @@ void expect_same_text(const std::string& got, const std::string& want, const cha
     const auto ctx = [&](const std::string& s) {
         return s.substr(pos > 40 ? pos - 40 : 0, 120);
     };
-    FAIL() << what << ": incremental text diverges from full render at byte " << pos
-           << " (sizes " << got.size() << " vs " << want.size() << ")\n incremental: ..."
-           << ctx(got) << "...\n full render: ..." << ctx(want) << "...";
+    FAIL() << what << ": text diverges from the reference at byte " << pos << " (sizes "
+           << got.size() << " vs " << want.size() << ")\n got:       ..." << ctx(got)
+           << "...\n reference: ..." << ctx(want) << "...";
 }
 
 void expect_same_snapshot(const core::QueueSnapshot& got, const core::QueueSnapshot& want,
@@ -326,55 +328,183 @@ TEST(ScaleDetector, ResyncsAfterJournalTrim) {
     expect_same_snapshot(snap, oracle.check(), "post-trim");
 }
 
-TEST(ScaleWinHpc, ConsistencyChecksUnderChurn) {
+/// A 64-node Windows cluster under random churn: node- and core-unit jobs,
+/// task jobs, runtime limits, rerunnable victims, cancels, admin toggles and
+/// reboots, with the brute-force consistency checks on for every scheduler
+/// cycle. save()/restore() take and rewind a whole-world snapshot (calendar,
+/// cluster and scheduler), the way a forked sweep does.
+struct WinChurnWorld {
     sim::Engine engine;
-    cluster::ClusterConfig cluster_cfg;
-    cluster_cfg.node_count = 64;
-    cluster_cfg.timing.jitter = 0;
-    cluster::Cluster cluster(engine, cluster_cfg);
-    engine.logger().set_min_level(util::LogLevel::kError);
-    winhpc::HpcScheduler scheduler(engine);
-    for (auto* node : cluster.nodes()) {
-        node->set_boot_resolver([](const cluster::Node&) {
-            cluster::BootDecision d;
-            d.os = cluster::OsType::kWindows;
-            return d;
-        });
-        scheduler.attach_node(*node);
-        node->power_on();
-    }
-    engine.run_all();
-    scheduler.enable_consistency_checks(true);
+    cluster::Cluster cluster;
+    winhpc::HpcScheduler scheduler;
 
-    util::Rng rng(13);
-    std::vector<int> job_ids;
-    for (int op = 0; op < 400; ++op) {
-        const auto roll = rng.uniform_int(0, 99);
-        if (roll < 55) {
-            winhpc::HpcJobSpec spec;
-            spec.unit = rng.uniform_int(0, 1) == 0 ? winhpc::JobUnitType::kNode
-                                                   : winhpc::JobUnitType::kCore;
-            spec.min_resources = static_cast<int>(rng.uniform_int(1, 6));
-            spec.run_time = sim::seconds(rng.uniform_int(20, 600));
-            spec.rerun_on_failure = rng.uniform_int(0, 3) == 0;
-            job_ids.push_back(scheduler.submit_job(std::move(spec)));
-        } else if (roll < 70 && !job_ids.empty()) {
-            (void)scheduler.cancel_job(
-                job_ids[rng.uniform_int(0, static_cast<std::uint64_t>(job_ids.size()) - 1)]);
-        } else if (roll < 80) {
-            cluster.node(static_cast<int>(rng.uniform_int(0, 63))).reboot();
-        } else {
-            engine.run_for(sim::seconds(rng.uniform_int(1, 600)));
-        }
+    static cluster::ClusterConfig cluster_config() {
+        cluster::ClusterConfig cfg;
+        cfg.node_count = 64;
+        cfg.timing.jitter = 0;
+        return cfg;
     }
-    engine.run_all();
+    static winhpc::HpcSchedulerConfig scheduler_config(bool strict_fifo) {
+        winhpc::HpcSchedulerConfig cfg;
+        cfg.strict_fifo = strict_fifo;
+        return cfg;
+    }
+
+    explicit WinChurnWorld(bool strict_fifo)
+        : cluster(engine, cluster_config()), scheduler(engine, scheduler_config(strict_fifo)) {
+        engine.logger().set_min_level(util::LogLevel::kError);
+        for (auto* node : cluster.nodes()) {
+            node->set_boot_resolver([](const cluster::Node&) {
+                cluster::BootDecision d;
+                d.os = cluster::OsType::kWindows;
+                return d;
+            });
+            scheduler.attach_node(*node);
+            node->power_on();
+        }
+        engine.run_all();
+        scheduler.enable_consistency_checks(true);
+    }
+
+    struct Saved {
+        sim::Engine::Snapshot calendar;
+        cluster::Cluster::SavedState cluster;
+        winhpc::HpcScheduler::SavedState scheduler;
+    };
+
+    Saved save() { return {engine.snapshot(), cluster.save_state(), scheduler.save_state()}; }
+
+    void restore(const Saved& s) {
+        engine.restore(s.calendar);
+        cluster.restore_state(s.cluster);
+        scheduler.restore_state(s.scheduler);
+    }
+
+    /// One random action, then a random stretch of simulated time.
+    void step(util::Rng& rng) {
+        const auto roll = rng.uniform_int(0, 99);
+        if (roll < 50) {
+            winhpc::HpcJobSpec spec;
+            spec.unit = rng.chance(0.5) ? winhpc::JobUnitType::kNode : winhpc::JobUnitType::kCore;
+            spec.min_resources = static_cast<int>(rng.uniform_int(1, 6));
+            spec.run_time = sim::seconds(static_cast<double>(rng.uniform_int(300, 3600)));
+            if (rng.chance(0.3)) {
+                const auto tasks = rng.uniform_int(1, 10);
+                for (std::int64_t t = 0; t < tasks; ++t) {
+                    winhpc::HpcTaskSpec task;
+                    task.run_time = sim::seconds(static_cast<double>(rng.uniform_int(60, 900)));
+                    spec.tasks.push_back(task);
+                }
+            }
+            if (rng.chance(0.2))  // killed at its limit when below run_time
+                spec.runtime_limit = sim::seconds(static_cast<double>(rng.uniform_int(60, 1800)));
+            spec.rerun_on_failure = rng.chance(0.5);
+            (void)scheduler.submit_job(std::move(spec));
+        } else if (roll < 62) {
+            // Half the time the queue head, so a strict-FIFO queue blocked
+            // on an unplaceable job moves on; otherwise a running job.
+            const auto running = scheduler.get_jobs(winhpc::HpcJobState::kRunning);
+            const winhpc::HpcJob* victim = scheduler.first_queued_job();
+            if (!running.empty() && (victim == nullptr || rng.chance(0.5)))
+                victim = running[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))];
+            if (victim != nullptr) {
+                ASSERT_TRUE(scheduler.cancel_job(victim->id).ok());
+            }
+        } else if (roll < 72) {
+            const int i = static_cast<int>(rng.uniform_int(0, 63));
+            const bool offline = scheduler.node_records()[static_cast<std::size_t>(i)].admin_offline;
+            ASSERT_TRUE(scheduler.set_node_online(cluster.node(i).short_name(), offline).ok());
+        } else if (roll < 82) {
+            cluster::Node& node = cluster.node(static_cast<int>(rng.uniform_int(0, 63)));
+            if (node.is_up())
+                node.reboot();  // running jobs requeue or fail
+            else
+                node.hard_power_cycle();
+        }
+        engine.run_for(sim::seconds(static_cast<double>(rng.uniform_int(0, 120))));
+    }
+
+    /// Bring every node back online and run the calendar dry.
+    void drain() {
+        for (int i = 0; i < 64; ++i)
+            ASSERT_TRUE(scheduler.set_node_online(cluster.node(i).short_name(), true).ok());
+        engine.run_all();
+    }
+
+    /// Everything observable: the node listing, every job's lifecycle and
+    /// allocation, the scheduler counters and the calendar counters.
+    [[nodiscard]] std::string fingerprint() const {
+        std::string out = scheduler.node_list_output();
+        for (const winhpc::HpcJob* job : scheduler.get_jobs()) {
+            out += std::to_string(job->id) + ' ' + winhpc::hpc_job_state_name(job->state) + ' ' +
+                   std::to_string(job->start_unix) + ' ' + std::to_string(job->end_unix) + ' ' +
+                   std::to_string(job->requeue_count) + ' ' +
+                   std::to_string(job->tasks_finished) + ' ';
+            for (const int idx : job->allocated_node_indices) out += std::to_string(idx) + ',';
+            out += '\n';
+        }
+        const winhpc::HpcStats& st = scheduler.stats();
+        for (const std::uint64_t n : {st.submitted, st.started, st.finished, st.failed_node_loss,
+                                      st.canceled, st.killed_runtime_limit, st.requeued})
+            out += std::to_string(n) + '/';
+        const sim::EngineStats& es = engine.stats();
+        out += " events " + std::to_string(es.scheduled) + '/' + std::to_string(es.dispatched) +
+               '/' + std::to_string(es.cancelled) + " at " + std::to_string(engine.now().ms);
+        return out;
+    }
+};
+
+class ScaleWinHpc : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ScaleWinHpc, ConsistencyChecksUnderChurn) {
+    const std::uint64_t seed = GetParam();
+    WinChurnWorld world(/*strict_fifo=*/seed % 2 == 0);
+    util::Rng rng(seed);
+    constexpr int kSteps = 500;
+    constexpr int kSplit = 200;
+    for (int i = 0; i < kSplit; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng));
+
+    const WinChurnWorld::Saved saved = world.save();
+    const util::Rng rng_at_split = rng;
+    auto finish = [&](std::string& out) {
+        for (int i = kSplit; i < kSteps; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng));
+        out = world.fingerprint();  // jobs still running, nodes allocated
+        ASSERT_NO_FATAL_FAILURE(world.drain());
+        out += world.fingerprint();
+    };
+    std::string straight;
+    ASSERT_NO_FATAL_FAILURE(finish(straight));
+    const winhpc::HpcStats stats = world.scheduler.stats();
+    int task_jobs_finished = 0;
+    for (const winhpc::HpcJob* job : world.scheduler.get_jobs())
+        if (!job->tasks.empty() && job->state == winhpc::HpcJobState::kFinished)
+            ++task_jobs_finished;
+
     // All reboots and jobs have drained; incremental aggregates must close
     // the books exactly.
-    EXPECT_EQ(scheduler.queued_job_count(), 0);
-    EXPECT_EQ(scheduler.running_job_count(), 0);
-    EXPECT_EQ(scheduler.free_cores(), scheduler.total_cores());
-    EXPECT_EQ(scheduler.fully_idle_count(), 64);
+    EXPECT_EQ(world.scheduler.queued_job_count(), 0);
+    EXPECT_EQ(world.scheduler.running_job_count(), 0);
+    EXPECT_EQ(world.scheduler.free_cores(), world.scheduler.total_cores());
+    EXPECT_EQ(world.scheduler.fully_idle_count(), 64);
+
+    // Replaying the suffix from the snapshot reproduces it exactly.
+    world.restore(saved);
+    rng = rng_at_split;
+    std::string replayed;
+    ASSERT_NO_FATAL_FAILURE(finish(replayed));
+    expect_same_text(replayed, straight, "snapshot replay");
+
+    // The churn reached every path the timers and bitsets have to follow.
+    EXPECT_GT(stats.started, 100u);
+    EXPECT_GT(stats.requeued, 0u);
+    EXPECT_GT(stats.failed_node_loss, 0u);
+    EXPECT_GT(stats.killed_runtime_limit, 0u);
+    EXPECT_GT(stats.canceled, 0u);
+    EXPECT_GT(task_jobs_finished, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScaleWinHpc, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace hc

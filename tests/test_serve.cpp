@@ -288,10 +288,12 @@ TEST(SubmissionService, BadScriptsGetTypedRejections) {
     const int id = service.connect(session, "carol");
     service.start();
     service.submit(id, "#PBS -l nodes=zero:ppn=bad\n", sim::minutes(5));
+    // 10^10 cpus: each count fits in int, their product does not.
+    service.submit(id, "#PBS -l nodes=100000:ppn=100000\n", sim::minutes(5));
     testbed.engine.run_for(sim::seconds(5));
     EXPECT_EQ(session.stats().rejects_by_reason[static_cast<int>(
                   serve::RejectReason::kBadScript)],
-              1u);
+              2u);
     service.stop();
 }
 

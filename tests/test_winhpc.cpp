@@ -52,7 +52,7 @@ TEST_F(HpcFixture, NodeJobRunsExclusively) {
     const HpcJob* job = scheduler.get_job(id);
     ASSERT_NE(job, nullptr);
     EXPECT_EQ(job->state, HpcJobState::kRunning);
-    EXPECT_EQ(job->allocated_node_names.size(), 2u);
+    EXPECT_EQ(job->allocated_node_indices.size(), 2u);
     EXPECT_EQ(scheduler.free_cores(), 8);  // 2 of 4 nodes fully booked
     EXPECT_EQ(scheduler.fully_idle_nodes().size(), 2u);
 }
@@ -156,7 +156,8 @@ TEST_F(HpcFixture, LinuxNodeIsUnreachable) {
 
 TEST_F(HpcFixture, AdminOfflineAndDraining) {
     const int id = submit_node_job(1, sim::hours(1));
-    const std::string busy = scheduler.get_job(id)->allocated_node_names[0];
+    const std::string busy =
+        cluster.node(scheduler.get_job(id)->allocated_node_indices[0]).short_name();
     ASSERT_TRUE(scheduler.set_node_online(busy, false).ok());
     // Busy + offline = draining.
     bool saw_draining = false;
@@ -178,8 +179,8 @@ TEST_F(HpcFixture, OnStartSeesAllocation) {
     HpcJobSpec spec;
     spec.min_resources = 2;
     spec.run_time = sim::seconds(1);
-    std::vector<std::string> seen;
-    spec.on_start = [&seen](HpcJob& job) { seen = job.allocated_node_names; };
+    std::vector<int> seen;
+    spec.on_start = [&seen](HpcJob& job) { seen = job.allocated_node_indices; };
     (void)scheduler.submit_job(std::move(spec));
     EXPECT_EQ(seen.size(), 2u);
 }
