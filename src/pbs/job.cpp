@@ -29,7 +29,7 @@ const char* completion_kind_name(CompletionKind k) {
 void Job::append_exec_host(std::string& out) const {
     for (std::size_t i = 0; i < exec_slots.size(); ++i) {
         if (i > 0) out += '+';
-        out += exec_slots[i].host;
+        out += *exec_slots[i].host;
         out += '/';
         util::append_int(out, exec_slots[i].cpu);
     }

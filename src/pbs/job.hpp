@@ -1,4 +1,8 @@
-// PBS job records.
+// PBS job records: one per submitted job, holding what `qstat -f` prints
+// (Fig 8) plus the server's bookkeeping. A record carries no copy of
+// anything constant across jobs: the server name and the Variable_List are
+// rendered from the server's config and the owner, and an exec slot points
+// at its node's hostname instead of copying it.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +27,11 @@ enum class JobState {
 
 [[nodiscard]] char job_state_char(JobState s);
 
-/// One "host/cpu" element of an exec_host string ("node16.../3").
+/// One "host/cpu" element of an exec_host string ("node16.../3"). `host`
+/// points at the node's own hostname: nodes outlive every job placed on
+/// them, and a snapshot is only restored into the world that took it.
 struct ExecSlot {
-    std::string host;
+    const std::string* host = nullptr;
     int cpu = 0;
 };
 
@@ -57,12 +63,10 @@ struct Job {
     std::string owner;      ///< "sliang@eridani.qgg.hud.ac.uk"
     JobState state = JobState::kQueued;
     std::string queue;
-    std::string server;
     ResourceList resources;
     bool rerunnable = true;
     bool join_oe = false;
     std::string output_path;
-    std::vector<std::string> variable_list;  ///< "PBS_O_HOME=/home/sliang", ...
     int priority = 0;
 
     std::int64_t qtime_unix = 0;   ///< submission time

@@ -43,7 +43,10 @@ bool NodeRecord::has_properties(const std::vector<std::string>& required) const 
 }
 
 PbsServer::PbsServer(sim::Engine& engine, PbsServerConfig config)
-    : engine_(engine), config_(std::move(config)), next_seq_(config_.first_job_seq) {
+    : engine_(engine),
+      config_(std::move(config)),
+      next_seq_(config_.first_job_seq),
+      job_base_(config_.first_job_seq) {
     util::require(!config_.server_name.empty(), "PbsServer: server_name required");
     util::require(config_.first_job_seq > 0, "PbsServer: first_job_seq must be > 0");
     obs::Hub& hub = engine_.obs();
@@ -238,15 +241,19 @@ void PbsServer::verify_incremental_state() const {
                  "consistency: idle set holds a stale record");
     util::ensure(total == total_cpus_, "consistency: total-CPU count diverged");
 
-    // active_by_seq_ holds exactly the non-completed jobs.
-    std::size_t active = 0;
-    for (const auto& [seq, job] : jobs_) {
-        util::ensure(job->seq == seq, "consistency: jobs_ key diverged from Job::seq");
+    // The job table's window: slot i holds seq job_base_ + i, the front
+    // slot is never a purged hole, and every issued seq has a slot.
+    util::ensure(jobs_.empty() || jobs_.front() != nullptr,
+                 "consistency: job table front slot is a purged hole");
+    util::ensure(job_base_ + jobs_.size() == next_seq_,
+                 "consistency: job table window diverged from next_seq");
+    std::size_t queued = 0;
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        const Job* job = jobs_[i].get();
+        if (job == nullptr) continue;
+        util::ensure(job->seq == job_base_ + i, "consistency: job table slot diverged from seq");
         if (job->state == JobState::kCompleted) continue;
-        ++active;
-        auto it = active_by_seq_.find(job->seq);
-        util::ensure(it != active_by_seq_.end() && it->second == job.get(),
-                     "consistency: active_by_seq_ missing an active job");
+        if (job->state == JobState::kQueued) ++queued;
         if (!job->text_dirty) {
             const auto* chunk = qstat_f_doc_.find(job->seq);
             fresh.clear();
@@ -255,8 +262,6 @@ void PbsServer::verify_incremental_state() const {
                          "consistency: clean qstat -f stanza diverged from state");
         }
     }
-    util::ensure(active == active_by_seq_.size(),
-                 "consistency: active_by_seq_ holds stale entries");
 
     // Eligible list: strictly increasing seq, kQueued only, symmetric links.
     std::size_t linked = 0;
@@ -273,17 +278,8 @@ void PbsServer::verify_incremental_state() const {
     }
     util::ensure(prev == queue_tail_, "consistency: eligible tail diverged");
     util::ensure(linked == eligible_count_, "consistency: eligible count diverged");
-    std::size_t queued = 0;
-    for (const auto& [_, job] : active_by_seq_)
-        if (job->state == JobState::kQueued) ++queued;
     util::ensure(queued == eligible_count_,
                  "consistency: a queued job is missing from the eligible list");
-}
-
-std::string PbsServer::job_id_for(std::uint64_t seq) const {
-    std::string out;
-    append_job_id(out, seq);
-    return out;
 }
 
 void PbsServer::append_job_id(std::string& out, std::uint64_t seq) const {
@@ -291,8 +287,6 @@ void PbsServer::append_job_id(std::string& out, std::uint64_t seq) const {
     out += '.';
     out += config_.server_name;
 }
-
-std::string PbsServer::make_job_id() { return job_id_for(next_seq_++); }
 
 Result<std::string> PbsServer::qsub(const std::string& script_text, const std::string& owner,
                                     JobBehavior behavior) {
@@ -305,28 +299,25 @@ Result<std::string> PbsServer::submit(const JobScript& script, const std::string
                                       JobBehavior behavior) {
     if (owner.empty()) return Error{"submit: owner required"};
     auto job = std::make_unique<Job>();
-    job->seq = next_seq_;
-    job->id = make_job_id();
+    job->seq = next_seq_++;
+    append_job_id(job->id, job->seq);
     job->name = script.name;
-    job->owner = owner.find('@') != std::string::npos
-                     ? owner
-                     : owner + "@" + config_.server_name;
+    job->owner = owner;
+    if (owner.find('@') == std::string::npos) {
+        job->owner += '@';
+        job->owner += config_.server_name;
+    }
     job->queue = script.queue.empty() ? config_.default_queue : script.queue;
-    job->server = config_.server_name;
     job->resources = script.resources;
     job->rerunnable = script.rerunnable;
     job->join_oe = script.join_oe;
     job->output_path = script.output_path;
     job->qtime_unix = engine_.unix_now();
     job->behavior = std::move(behavior);
-    job->variable_list = {"PBS_O_HOME=/home/" + owner.substr(0, owner.find('@')),
-                          "PBS_O_LANG=en_US.UTF-8",
-                          "PBS_O_PATH=/usr/kerberos/bin:/usr/local/bin:/usr/bin:/bin"};
 
-    const std::string id = job->id;
+    std::string id = job->id;
     Job* raw = job.get();
-    jobs_[raw->seq] = std::move(job);
-    active_by_seq_[raw->seq] = raw;
+    jobs_.push_back(std::move(job));  // slot raw->seq - job_base_
     queue_push_back(*raw);  // new seqs are monotonic, so append keeps order
     touch_job(*raw);
     ++stats_.submitted;
@@ -407,13 +398,13 @@ Status PbsServer::set_node_properties(const std::string& hostname,
 }
 
 Job* PbsServer::job_by_seq(std::uint64_t seq) {
-    auto it = jobs_.find(seq);
-    return it == jobs_.end() ? nullptr : it->second.get();
+    return const_cast<Job*>(std::as_const(*this).job_by_seq(seq));
 }
 
 const Job* PbsServer::job_by_seq(std::uint64_t seq) const {
-    auto it = jobs_.find(seq);
-    return it == jobs_.end() ? nullptr : it->second.get();
+    // A seq below the base wraps to a huge slot and misses like one past the end.
+    const std::uint64_t slot = seq - job_base_;
+    return slot < jobs_.size() ? jobs_[slot].get() : nullptr;
 }
 
 Job* PbsServer::find_job(const std::string& job_id) {
@@ -440,18 +431,18 @@ std::vector<const Job*> PbsServer::queued_jobs() const {
 
 std::vector<const Job*> PbsServer::running_jobs() const {
     std::vector<const Job*> out;
-    for (const auto& [_, job] : active_by_seq_)
-        if (job->state == JobState::kRunning || job->state == JobState::kExiting)
-            out.push_back(job);
-    return out;  // active_by_seq_ iterates in seq order already
+    for (const auto& job : jobs_)
+        if (job != nullptr &&
+            (job->state == JobState::kRunning || job->state == JobState::kExiting))
+            out.push_back(job.get());
+    return out;
 }
 
 std::vector<const Job*> PbsServer::all_jobs() const {
     std::vector<const Job*> out;
     out.reserve(jobs_.size());
-    for (const auto& [_, job] : jobs_) out.push_back(job.get());
-    std::sort(out.begin(), out.end(),
-              [](const Job* a, const Job* b) { return a->seq < b->seq; });
+    for (const auto& job : jobs_)
+        if (job != nullptr) out.push_back(job.get());
     return out;
 }
 
@@ -481,12 +472,13 @@ void PbsServer::emit_event(JobEvent event, const Job& job) {
     for (const auto& fn : event_subscribers_) fn(event, job);
 }
 
-std::optional<std::vector<int>> PbsServer::try_place(const Job& job) const {
+bool PbsServer::try_place(const Job& job) {
     // Each of the `nodes` chunks goes on a distinct node with >= ppn free
     // cpus and the required properties. Candidates come from the fit level
     // for ppn (ascending index, same visit order as a full scan), so every
     // candidate has room and only the property filter can skip one.
-    std::vector<int> chosen;
+    std::vector<int>& chosen = placement_;
+    chosen.clear();
     const auto level = static_cast<std::size_t>(std::max(job.resources.ppn, 1));
     if (level <= fit_.size()) {
         const util::IndexBitset& fit = fit_[level - 1];
@@ -498,8 +490,7 @@ std::optional<std::vector<int>> PbsServer::try_place(const Job& job) const {
             chosen.push_back(static_cast<int>(idx));
         }
     }
-    if (static_cast<int>(chosen.size()) < job.resources.nodes) return std::nullopt;
-    return chosen;
+    return static_cast<int>(chosen.size()) >= job.resources.nodes;
 }
 
 std::optional<std::vector<int>> PbsServer::try_place_bruteforce(const Job& job) const {
@@ -548,15 +539,15 @@ void PbsServer::schedule_cycle() {
             // what any placement can use, so a request above it cannot fit
             // and the node scan is skipped. In the stuck steady state this
             // makes the whole cycle O(1).
-            const bool may_fit = job->resources.total_cpus() <= free_cpu_agg_;
-            std::optional<std::vector<int>> placement;
-            if (may_fit) placement = try_place(*job);
+            const bool placed =
+                job->resources.total_cpus() <= free_cpu_agg_ && try_place(*job);
             if (consistency_checks_) {
                 const auto reference = try_place_bruteforce(*job);
-                util::ensure(placement == reference,
+                util::ensure(placed == reference.has_value() &&
+                                 (!placed || placement_ == *reference),
                              "consistency: incremental placement diverged from brute force");
             }
-            if (!placement.has_value()) {
+            if (!placed) {
                 if (config_.strict_fifo) break;
                 continue;
             }
@@ -565,7 +556,7 @@ void PbsServer::schedule_cycle() {
             // via the unlink epoch and restart the pass from the new head.
             const std::uint64_t unlinks_before = queue_unlinks_;
             queue_unlink(*job);
-            start_job(*job, *placement);
+            start_job(*job, placement_);
             if (queue_unlinks_ != unlinks_before + 1) {
                 cycle_again_ = true;
                 break;
@@ -583,6 +574,10 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     job.exec_slots.clear();
     job.exec_node_indices.clear();
     job.exec_record_indices.clear();
+    job.exec_slots.reserve(record_indices.size() *
+                           static_cast<std::size_t>(job.resources.ppn));
+    job.exec_node_indices.reserve(record_indices.size());
+    job.exec_record_indices.reserve(record_indices.size());
     for (int idx : record_indices) {
         NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
         // TORQUE hands out cpu indices descending (Fig 8: .../3+.../2+...).
@@ -591,7 +586,7 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
              cpu >= 0 && assigned < job.resources.ppn; --cpu) {
             if (rec.cpu_owner[static_cast<std::size_t>(cpu)] != 0) continue;
             rec.cpu_owner[static_cast<std::size_t>(cpu)] = job.seq;
-            job.exec_slots.push_back(ExecSlot{rec.node->hostname(), cpu});
+            job.exec_slots.push_back(ExecSlot{&rec.node->hostname(), cpu});
             ++assigned;
         }
         util::ensure(assigned == job.resources.ppn, "start_job: placement raced allocation");
@@ -659,11 +654,15 @@ void PbsServer::purge_completed() {
     while (completed_order_.size() > config_.completed_retention) {
         const std::uint64_t seq = completed_order_.front();
         completed_order_.pop_front();
-        auto it = jobs_.find(seq);
-        util::ensure(it != jobs_.end() && it->second->state == JobState::kCompleted,
+        const Job* job = job_by_seq(seq);
+        util::ensure(job != nullptr && job->state == JobState::kCompleted,
                      "purge_completed: retention queue out of sync");
-        jobs_.erase(it);
+        jobs_[seq - job_base_].reset();
         ++stats_.purged;
+    }
+    while (!jobs_.empty() && jobs_.front() == nullptr) {
+        jobs_.pop_front();
+        ++job_base_;
     }
 }
 
@@ -674,7 +673,6 @@ void PbsServer::finish_job(Job& job, CompletionKind kind) {
     job.state = JobState::kCompleted;
     job.completion = kind;
     job.etime_unix = engine_.unix_now();
-    active_by_seq_.erase(job.seq);
     removed_job_seqs_.push_back(job.seq);  // drop its qstat -f stanza
     job.text_dirty = false;  // completed jobs never re-render
     completed_order_.push_back(job.seq);
@@ -764,9 +762,11 @@ PbsServer::SavedState PbsServer::save_state() const {
     util::require(!in_cycle_, "PbsServer::save_state: cannot snapshot mid-cycle");
     SavedState s;
     s.next_seq = next_seq_;
+    s.job_base = job_base_;
     s.nodes = nodes_;
     s.jobs.reserve(jobs_.size());
-    for (const auto& [_, job] : jobs_) s.jobs.push_back(*job);
+    for (const auto& job : jobs_)
+        if (job != nullptr) s.jobs.push_back(*job);
     s.eligible_order.reserve(eligible_count_);
     for (const Job* j = queue_head_; j != nullptr; j = j->queue_next)
         s.eligible_order.push_back(j->seq);
@@ -790,21 +790,25 @@ PbsServer::SavedState PbsServer::save_state() const {
 void PbsServer::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "PbsServer::restore_state: cannot restore mid-cycle");
     next_seq_ = s.next_seq;
+    job_base_ = s.job_base;
+    util::ensure(job_base_ <= next_seq_, "PbsServer::restore_state: job table base past next seq");
     nodes_ = s.nodes;
     jobs_.clear();
-    active_by_seq_.clear();
+    jobs_.resize(next_seq_ - job_base_);
     for (const Job& job : s.jobs) {
-        auto copy = std::make_unique<Job>(job);
-        copy->queue_prev = nullptr;  // relinked below from the saved order
-        copy->queue_next = nullptr;
-        if (copy->state != JobState::kCompleted) active_by_seq_[job.seq] = copy.get();
-        jobs_.emplace(job.seq, std::move(copy));
+        util::ensure(job.seq >= job_base_ && job.seq < next_seq_,
+                     "PbsServer::restore_state: job outside the table window");
+        auto& slot = jobs_[job.seq - job_base_];
+        slot = std::make_unique<Job>(job);
+        slot->queue_prev = nullptr;  // relinked below from the saved order
+        slot->queue_next = nullptr;
     }
     queue_head_ = nullptr;
     queue_tail_ = nullptr;
     eligible_count_ = 0;
     for (const std::uint64_t seq : s.eligible_order) {
-        Job* job = jobs_.at(seq).get();
+        Job* job = job_by_seq(seq);
+        util::ensure(job != nullptr, "PbsServer::restore_state: eligible job missing");
         job->in_eligible_queue = true;
         job->queue_prev = queue_tail_;
         if (queue_tail_ != nullptr)

@@ -6,19 +6,19 @@
 // APIs for other programs".
 //
 // State is indexed for 100k-node / million-job scale: node lookups go
-// through hash maps (never a pointer scan); jobs are keyed by their integer
-// sequence number, never by the id string; placement walks a bitset fit
-// index (one util::IndexBitset per free-CPU threshold) in ascending record
-// order instead of every record; the scheduler walks an intrusive list of
-// eligible queued jobs only; and the text layer re-renders just the stanzas
-// whose backing state moved (see util::TextDocument and DESIGN.md "Indexed
-// scheduler state").
+// through hash maps (never a pointer scan); jobs live in one dense table
+// indexed by their integer sequence number (seq − job_base_), never keyed by
+// the id string, so every seq-ordered walk is a table walk; placement walks
+// a bitset fit index (one util::IndexBitset per free-CPU threshold) in
+// ascending record order instead of every record; the scheduler walks an
+// intrusive list of eligible queued jobs only; and the text layer
+// re-renders just the stanzas whose backing state moved (see
+// util::TextDocument and DESIGN.md "Indexed scheduler state").
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -108,8 +108,10 @@ struct PbsServerConfig {
     std::uint64_t first_job_seq = 1185;
     /// Completed-job records retained before the oldest are purged from the
     /// server (0 = keep everything, the TORQUE-ish default). Million-job
-    /// arrival streams set this so resident memory tracks the *active* set,
-    /// not the lifetime total.
+    /// arrival streams set this to cap the retained records. The job table
+    /// still spans every seq issued since the oldest unpurged job, so one
+    /// long-held or never-placeable job keeps an 8-byte slot for every
+    /// later seq.
     std::size_t completed_retention = 0;
 };
 
@@ -242,14 +244,12 @@ public:
     [[nodiscard]] std::string debug_full_render_qstat_f() const;
 
 private:
-    [[nodiscard]] std::string make_job_id();
-    /// The id this server gives job `seq`: "<seq>.<server_name>".
-    [[nodiscard]] std::string job_id_for(std::uint64_t seq) const;
-    /// job_id_for(seq) appended to `out`.
+    /// Append the id this server gives job `seq` ("<seq>.<server_name>").
     void append_job_id(std::string& out, std::uint64_t seq) const;
     /// Job by sequence number, or nullptr (purged or never issued). O(1).
     [[nodiscard]] Job* job_by_seq(std::uint64_t seq);
     [[nodiscard]] const Job* job_by_seq(std::uint64_t seq) const;
+    /// Allocate `record_indices` (a try_place result) to `job` and run it.
     void start_job(Job& job, const std::vector<int>& record_indices);
     void finish_job(Job& job, CompletionKind kind);
     void release_allocation(Job& job);
@@ -257,7 +257,9 @@ private:
     void cancel_timers(Job& job);
     void handle_node_up(cluster::Node& node, cluster::OsType os);
     void handle_node_down(cluster::Node& node);
-    [[nodiscard]] std::optional<std::vector<int>> try_place(const Job& job) const;
+    /// Fill placement_ with the records `job` would run on; false when it
+    /// does not fit now.
+    [[nodiscard]] bool try_place(const Job& job);
     /// Index of the record for `node`, or npos when not attached. O(1).
     [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
     void request_cycle();
@@ -303,9 +305,13 @@ private:
     std::vector<NodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
-    std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;  ///< by seq
-    std::map<std::uint64_t, Job*> active_by_seq_;  ///< non-completed, seq order
-    std::deque<std::uint64_t> completed_order_;    ///< seqs in completion order (retention)
+    // Job table: slot i holds job job_base_ + i, or nullptr once purged.
+    // Purged slots at the front are popped, so the front slot is non-null
+    // unless the table is empty, and every issued seq >= job_base_ has a slot.
+    std::deque<std::unique_ptr<Job>> jobs_;
+    std::uint64_t job_base_;
+    std::deque<std::uint64_t> completed_order_;  ///< seqs in completion order (retention)
+    std::vector<int> placement_;                 ///< try_place's result; keeps its capacity
 
     // Eligible queued jobs (state kQueued), seq order. Head/tail of the
     // intrusive list threaded through Job::queue_prev/queue_next.
@@ -358,18 +364,22 @@ private:
 
 public:
     /// World-snapshot hook (DESIGN.md "Snapshot / fork"). Captures every
-    /// mutable field — job records (deep copies, which carry their pending
-    /// completion/walltime EventIds), the eligible-queue order, node
-    /// records, index sets, the incremental text documents and their dirty
-    /// lists — so a restore resumes byte-identically, including
-    /// qstat/pbsnodes document versions the detector streams against. Node/name indices and subscribers are
-    /// construction wiring and are left untouched. Must be taken/restored
-    /// outside a scheduler cycle, paired with an Engine::restore() of the
-    /// calendar the EventIds point into.
+    /// mutable field — the unpurged job records (deep copies, which carry
+    /// their pending completion/walltime EventIds) and the job table's base
+    /// seq, the eligible-queue order, node records, index sets, the
+    /// incremental text documents and their dirty lists — so a restore
+    /// resumes byte-identically, including the qstat/pbsnodes document
+    /// versions the detector streams against. Node/name indices and
+    /// subscribers are construction wiring and are left untouched; records
+    /// point into the nodes (NodeRecord::node, ExecSlot::host), so a
+    /// snapshot is restored only into the world that took it. Must be
+    /// taken/restored outside a scheduler cycle, paired with an
+    /// Engine::restore() of the calendar the EventIds point into.
     struct SavedState {
         std::uint64_t next_seq = 0;
+        std::uint64_t job_base = 0;  ///< seq of the job table's front slot
         std::vector<NodeRecord> nodes;
-        std::vector<Job> jobs;
+        std::vector<Job> jobs;  ///< the unpurged records, seq order
         std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
         std::deque<std::uint64_t> completed_order;
         std::uint64_t queue_unlinks = 0;

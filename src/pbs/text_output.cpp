@@ -123,7 +123,7 @@ void PbsServer::render_job_stanza(const Job& job, std::string& out) const {
     out += "\n    queue = ";
     out += job.queue;
     out += "\n    server = ";
-    out += job.server;
+    out += config_.server_name;
     out += '\n';
     if (job.join_oe) out += "    Join_Path = oe\n";
     if (!job.output_path.empty()) {
@@ -149,15 +149,12 @@ void PbsServer::render_job_stanza(const Job& job, std::string& out) const {
         append_walltime(out, *job.resources.walltime);
         out += '\n';
     }
-    if (!job.variable_list.empty()) {
-        // TORQUE wraps Variable_List with tab continuations.
-        out += "    Variable_List = ";
-        for (std::size_t i = 0; i < job.variable_list.size(); ++i) {
-            if (i > 0) out += ",\n\t";
-            out += job.variable_list[i];
-        }
-        out += '\n';
-    }
+    // TORQUE wraps Variable_List with tab continuations. Only the home
+    // directory varies: it is the owner's user name.
+    out += "    Variable_List = PBS_O_HOME=/home/";
+    out.append(job.owner, 0, job.owner.find('@'));
+    out += ",\n\tPBS_O_LANG=en_US.UTF-8"
+           ",\n\tPBS_O_PATH=/usr/kerberos/bin:/usr/local/bin:/usr/bin:/bin\n";
     out += '\n';  // stanza separator: every chunk is self-contained
 }
 
@@ -177,7 +174,6 @@ void PbsServer::refresh_documents() const {
     }
     dirty_nodes_.clear();
     for (std::uint64_t seq : dirty_job_seqs_) {
-        // The hash lookup, not the ordered active map: the same answer.
         Job* job = const_cast<Job*>(job_by_seq(seq));
         if (job == nullptr || job->state == JobState::kCompleted) continue;  // completed (maybe purged)
         render_buf_.clear();
@@ -220,7 +216,8 @@ std::string PbsServer::debug_full_render_pbsnodes() const {
 
 std::string PbsServer::debug_full_render_qstat_f() const {
     std::string out;
-    for (const auto& [_, job] : active_by_seq_) render_job_stanza(*job, out);
+    for (const auto& job : jobs_)
+        if (job != nullptr && job->state != JobState::kCompleted) render_job_stanza(*job, out);
     return out;
 }
 
@@ -244,7 +241,8 @@ std::string PbsServer::qstat_output() const {
 std::string PbsServer::render_qstat(bool& time_sensitive) const {
     std::string out;
     bool any = false;
-    for (const auto& [_, job] : active_by_seq_) {
+    for (const auto& job : jobs_) {
+        if (job == nullptr || job->state == JobState::kCompleted) continue;
         if (!any) {
             out += "Job ID                    Name             User            Time Use S Queue\n";
             out += "------------------------- ---------------- --------------- -------- - -----\n";

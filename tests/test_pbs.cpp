@@ -190,8 +190,11 @@ TEST_F(PbsFixture, JobRunsAndCompletes) {
 TEST_F(PbsFixture, ExecHostUsesDescendingCpus) {
     const std::string id = submit(1, 4, sim::minutes(5));
     const Job* job = server.find_job(id);
-    // Fig 8 pattern: host/3+host/2+host/1+host/0.
-    const std::string host = job->exec_slots[0].host;
+    // Fig 8 pattern: host/3+host/2+host/1+host/0. Each slot points at the
+    // node's own hostname rather than holding a copy.
+    ASSERT_EQ(job->exec_node_indices.size(), 1u);
+    const std::string& host = cluster.node(job->exec_node_indices[0]).hostname();
+    for (const ExecSlot& slot : job->exec_slots) EXPECT_EQ(slot.host, &host);
     EXPECT_EQ(job->exec_host_string(),
               host + "/3+" + host + "/2+" + host + "/1+" + host + "/0");
 }
@@ -490,6 +493,60 @@ TEST(PbsJobIds, FirstJobSeqMustBePositive) {
     EXPECT_THROW(PbsServer(engine, cfg), util::PreconditionError);
 }
 
+// The job table spans the seqs issued since the oldest unpurged job, not just
+// the live ones: a job held from the start keeps a slot for every later seq
+// however few records retention keeps, and the window closes up once it is
+// purged.
+TEST(PbsJobTable, HeldJobPinsTheWindowFront) {
+    sim::Engine engine;
+    cluster::ClusterConfig cfg;
+    cfg.node_count = 2;
+    cfg.timing.jitter = 0;
+    cluster::Cluster cluster{engine, cfg};
+    PbsServerConfig server_cfg;
+    server_cfg.completed_retention = 1;
+    PbsServer server{engine, server_cfg};
+    server.enable_consistency_checks(true);
+    auto submit = [&] {
+        JobBehavior behavior;
+        behavior.run_time = sim::minutes(1);
+        return server.submit(JobScript{}, "sliang", std::move(behavior)).value();
+    };
+    for (auto* node : cluster.nodes()) {
+        node->set_boot_resolver([](const cluster::Node&) {
+            cluster::BootDecision d;
+            d.os = OsType::kLinux;
+            return d;
+        });
+        server.attach_node(*node);
+        node->power_on();
+    }
+    const std::string held = submit();  // queued: no node is up yet
+    ASSERT_TRUE(server.qhold(held).ok());
+    engine.run_all();
+
+    constexpr std::uint64_t kStream = 100;
+    for (std::uint64_t i = 0; i < kStream; ++i) submit();
+    engine.run_all();
+    EXPECT_EQ(server.stats().purged, kStream - 1);
+    EXPECT_EQ(server.all_jobs().size(), 2u);  // the held job and one retained record
+    PbsServer::SavedState window = server.save_state();
+    EXPECT_EQ(window.job_base, server_cfg.first_job_seq);
+    EXPECT_EQ(window.next_seq - window.job_base, kStream + 1);
+
+    // Released, the held job runs and becomes the retained record; the next
+    // completion purges it and the front jumps to the newest seq.
+    ASSERT_TRUE(server.qrls(held).ok());
+    engine.run_all();
+    EXPECT_EQ(server.save_state().job_base, server_cfg.first_job_seq);
+    submit();
+    engine.run_all();
+    EXPECT_EQ(server.find_job(held), nullptr);
+    window = server.save_state();
+    EXPECT_EQ(window.next_seq - window.job_base, 1u);
+    EXPECT_EQ(server.all_jobs().size(), 1u);
+}
+
 // ---------- fit index vs brute force under churn ----------
 
 /// A PBS server over 30 nodes of mixed width (np 1/2/4/8/16, interleaved so
@@ -505,7 +562,7 @@ struct ChurnWorld {
     std::vector<cluster::Node*> nodes;  ///< in attach (record) order
     std::string events;                 ///< lifecycle log, one line per event
 
-    ChurnWorld(std::uint64_t seed, bool strict_fifo) {
+    ChurnWorld(std::uint64_t seed, bool strict_fifo, std::size_t retention) {
         for (const int np : kWidths) {
             cluster::ClusterConfig cfg;
             cfg.node_count = 6;
@@ -516,7 +573,7 @@ struct ChurnWorld {
         }
         PbsServerConfig cfg;
         cfg.strict_fifo = strict_fifo;
-        cfg.completed_retention = 16;
+        cfg.completed_retention = retention;
         server = std::make_unique<PbsServer>(engine, cfg);
         server->enable_consistency_checks(true);
         server->on_job_event([this](PbsServer::JobEvent ev, const Job& job) {
@@ -620,6 +677,54 @@ struct ChurnWorld {
         engine.run_for(sim::seconds(rng.uniform(0, 900)));
     }
 
+    /// The operator clears the server (qdel of every unfinished job),
+    /// returns every node to service and submits a burst of long jobs, a
+    /// third of them with a walltime below their run time; then takes one
+    /// node offline and queues three jobs no node set can ever hold (7 nodes
+    /// of 16 CPUs, against 6 such nodes), holding the third, and four small
+    /// jobs behind them. Run just before the snapshot, it makes the split
+    /// hold many running jobs with pending completion and walltime timers
+    /// next to a held job, an offline node and at least two eligible jobs
+    /// (under strict FIFO six, blocked at the head), and the deletions let
+    /// retention purge the job table's front past older records.
+    void clear_and_fill(util::Rng& rng, std::vector<std::string>& ids) {
+        // Ids first: a qdel may purge records the listing points at.
+        std::vector<std::string> unfinished;
+        for (const Job* job : server->all_jobs())
+            if (job->state != JobState::kCompleted) unfinished.push_back(job->id);
+        for (const std::string& id : unfinished) ASSERT_TRUE(server->qdel(id).ok()) << id;
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            if (server->node_records()[i].offline) {
+                ASSERT_TRUE(server->set_node_offline(nodes[i]->hostname(), false).ok());
+            }
+        }
+        auto submit = [&](JobScript script, sim::Duration run_time) {
+            JobBehavior behavior;
+            behavior.run_time = run_time;
+            auto id = server->submit(script, "burst", std::move(behavior));
+            ASSERT_TRUE(id.ok()) << id.error_message();
+            ids.push_back(id.value());
+        };
+        for (int i = 0; i < 40; ++i) {
+            JobScript script;
+            script.resources.ppn = static_cast<int>(rng.uniform_int(1, 2));
+            script.rerunnable = rng.chance(0.6);
+            if (i % 3 == 0) script.resources.walltime = sim::seconds(rng.uniform(300, 1200));
+            ASSERT_NO_FATAL_FAILURE(submit(script, sim::seconds(rng.uniform(1800, 3600))));
+        }
+        const cluster::Node& offline = *nodes[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+        ASSERT_TRUE(server->set_node_offline(offline.hostname(), true).ok());
+        JobScript too_wide;
+        too_wide.resources.nodes = 7;
+        too_wide.resources.ppn = 16;
+        for (int i = 0; i < 3; ++i)
+            ASSERT_NO_FATAL_FAILURE(submit(too_wide, sim::seconds(rng.uniform(60, 600))));
+        ASSERT_TRUE(server->qhold(ids.back()).ok());
+        for (int i = 0; i < 4; ++i)
+            ASSERT_NO_FATAL_FAILURE(submit(JobScript{}, sim::seconds(rng.uniform(60, 600))));
+    }
+
     /// Everything observable: both text outputs (checked against their
     /// reference renders), the lifecycle log, the server counters and the
     /// calendar counters (a timer left uncancelled shows there).
@@ -640,24 +745,50 @@ struct ChurnWorld {
     }
 };
 
-class PbsFitIndexChurn : public ::testing::TestWithParam<std::uint64_t> {};
+/// What a straight churn run ends with, for the test's path checks.
+struct ChurnRun {
+    ServerStats stats;
+    std::uint64_t front_at_split = 0;  ///< lowest unpurged seq at the snapshot
+    std::uint64_t front_at_end = 0;    ///< the same at the end, 0 when none is left
+};
 
-TEST_P(PbsFitIndexChurn, MatchesBruteForceAndReplaysFromSnapshot) {
-    const std::uint64_t seed = GetParam();
-    ChurnWorld world(seed, /*strict_fifo=*/seed % 2 == 0);
+/// Churn to the split, clear and refill the server there, snapshot, churn
+/// on to the end; then restore the snapshot, replay the same suffix and
+/// require a byte-identical fingerprint.
+void churn_and_replay(std::uint64_t seed, std::size_t retention, ChurnRun& run) {
+    ChurnWorld world(seed, /*strict_fifo=*/seed % 2 == 0, retention);
     util::Rng rng(seed);
     std::vector<std::string> ids;
     constexpr int kSteps = 600;
     constexpr int kSplit = 250;
     for (int i = 0; i < kSplit; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
+    ASSERT_NO_FATAL_FAILURE(world.clear_and_fill(rng, ids));
 
+    // The snapshot holds many runs with pending timers, walltime kills
+    // among them, a queue for restore to relink, a held job and an offline
+    // node.
+    const auto running = world.server->running_jobs();
+    EXPECT_GE(running.size(), 20u);
+    EXPECT_GE(std::count_if(running.begin(), running.end(),
+                            [](const Job* j) { return j->walltime_event.valid(); }),
+              5);
+    EXPECT_GE(world.server->queued_jobs().size(), 2u);
+    const auto live = world.server->all_jobs();
+    EXPECT_TRUE(std::any_of(live.begin(), live.end(),
+                            [](const Job* j) { return j->state == JobState::kHeld; }));
+    const auto& records = world.server->node_records();
+    EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                            [](const NodeRecord& r) { return r.offline; }));
+    run.front_at_split = live.front()->seq;
     const ChurnWorld::Saved saved = world.save();
     const util::Rng rng_at_split = rng;
     const std::vector<std::string> ids_at_split = ids;
     for (int i = kSplit; i < kSteps; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
     world.engine.run_all();
     const std::string straight = world.fingerprint();
-    const ServerStats stats = world.server->stats();
+    run.stats = world.server->stats();
+    const auto live_at_end = world.server->all_jobs();
+    run.front_at_end = live_at_end.empty() ? 0 : live_at_end.front()->seq;
 
     world.restore(saved);
     rng = rng_at_split;
@@ -665,13 +796,30 @@ TEST_P(PbsFitIndexChurn, MatchesBruteForceAndReplaysFromSnapshot) {
     for (int i = kSplit; i < kSteps; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng, ids));
     world.engine.run_all();
     EXPECT_EQ(world.fingerprint(), straight);
+}
 
+class PbsFitIndexChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PbsFitIndexChurn, MatchesBruteForceAndReplaysFromSnapshot) {
+    ChurnRun run;
+    ASSERT_NO_FATAL_FAILURE(churn_and_replay(GetParam(), /*retention=*/16, run));
     // The churn reached every path the index has to follow.
-    EXPECT_GT(stats.started, 100u);
-    EXPECT_GT(stats.requeued + stats.aborted_node_failure, 0u);
-    EXPECT_GT(stats.killed_walltime, 0u);
-    EXPECT_GT(stats.deleted, 0u);
-    EXPECT_GT(stats.purged, 0u);
+    EXPECT_GT(run.stats.started, 100u);
+    EXPECT_GT(run.stats.requeued + run.stats.aborted_node_failure, 0u);
+    EXPECT_GT(run.stats.killed_walltime, 0u);
+    EXPECT_GT(run.stats.deleted, 0u);
+    EXPECT_GT(run.stats.purged, 0u);
+}
+
+// One retained record: the snapshot is taken after purges moved the job
+// table's front, and the front moves again before the end, so a restore has
+// to put the table's base back rather than keep the one it finds.
+TEST_P(PbsFitIndexChurn, ReplaysAfterTheJobTableFrontMoved) {
+    ChurnRun run;
+    ASSERT_NO_FATAL_FAILURE(churn_and_replay(GetParam(), /*retention=*/1, run));
+    EXPECT_GT(run.front_at_split, PbsServerConfig{}.first_job_seq);
+    EXPECT_TRUE(run.front_at_end == 0 || run.front_at_end > run.front_at_split);
+    EXPECT_GT(run.stats.purged, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PbsFitIndexChurn, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
