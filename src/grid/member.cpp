@@ -99,7 +99,7 @@ MemberLoad GridMember::load(OsType os) {
         load.free_cpus = hybrid_->winhpc().free_cores();
         const int cores_per_node = hybrid_->config().cluster.cores_per_node;
         for (const winhpc::HpcJob* job = hybrid_->winhpc().first_queued_job(); job != nullptr;
-             job = job->queue_next)
+             job = winhpc::HpcJobQueue::next(*job))
             load.queued_cpus += job->needed_cpus(cores_per_node);
     }
     return load;

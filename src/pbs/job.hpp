@@ -13,6 +13,7 @@
 #include "pbs/resource_list.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
+#include "util/intrusive_fifo.hpp"
 
 namespace hc::pbs {
 
@@ -66,6 +67,10 @@ struct Job {
     ResourceList resources;
     bool rerunnable = true;
     bool join_oe = false;
+    /// Set when this job's qstat -f stanza needs re-rendering; cleared by
+    /// the text layer once the chunk is patched. (Beside the other flags,
+    /// where it takes no room of its own.)
+    bool text_dirty = false;
     std::string output_path;
     int priority = 0;
 
@@ -86,17 +91,10 @@ struct Job {
 
     JobBehavior behavior;
 
-    // Intrusive membership in the server's eligible-to-run FCFS list (seq
-    // order, state == kQueued only). Maintained by PbsServer exclusively;
-    // held/deleted/started jobs are unlinked eagerly so a scheduler pass
-    // walks only jobs it could actually start.
-    Job* queue_prev = nullptr;
-    Job* queue_next = nullptr;
-    bool in_eligible_queue = false;
-
-    /// Set when this job's qstat -f stanza needs re-rendering; cleared by
-    /// the text layer once the chunk is patched.
-    bool text_dirty = false;
+    // Links in the server's eligible-to-run list (seq order, kQueued only);
+    // held, deleted and started jobs are unlinked eagerly, so a scheduler
+    // pass walks only jobs it could actually start.
+    util::FifoHook<Job> queue_link;
 
     /// "node16.../3+node16.../2+..." as qstat -f prints it (Fig 8).
     [[nodiscard]] std::string exec_host_string() const;

@@ -45,8 +45,7 @@ bool NodeRecord::has_properties(const std::vector<std::string>& required) const 
 PbsServer::PbsServer(sim::Engine& engine, PbsServerConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      next_seq_(config_.first_job_seq),
-      job_base_(config_.first_job_seq) {
+      jobs_(config_.first_job_seq, config_.completed_retention) {
     util::require(!config_.server_name.empty(), "PbsServer: server_name required");
     util::require(config_.first_job_seq > 0, "PbsServer: first_job_seq must be > 0");
     obs::Hub& hub = engine_.obs();
@@ -55,7 +54,7 @@ PbsServer::PbsServer(sim::Engine& engine, PbsServerConfig config)
     // Queue-state gauges are computed at snapshot time only, keeping the
     // scheduler's hot path free of bookkeeping.
     hub.metrics().add_provider([this](obs::Registry& reg) {
-        reg.gauge("pbs.queue.depth").set(static_cast<double>(eligible_count_));
+        reg.gauge("pbs.queue.depth").set(static_cast<double>(eligible_.size()));
         reg.gauge("pbs.free_cpus").set(static_cast<double>(free_cpu_agg_));
         reg.gauge("pbs.jobs.started").set(static_cast<double>(stats_.started));
         reg.gauge("pbs.jobs.completed").set(static_cast<double>(stats_.completed_normal));
@@ -142,57 +141,6 @@ void PbsServer::set_schedulable(std::size_t idx, bool schedulable) {
     touch_node(idx);
 }
 
-// ---- eligible-queue intrusive list ---------------------------------------
-
-void PbsServer::queue_push_back(Job& job) {
-    util::ensure(!job.in_eligible_queue, "queue_push_back: already linked");
-    job.queue_prev = queue_tail_;
-    job.queue_next = nullptr;
-    if (queue_tail_ != nullptr)
-        queue_tail_->queue_next = &job;
-    else
-        queue_head_ = &job;
-    queue_tail_ = &job;
-    job.in_eligible_queue = true;
-    ++eligible_count_;
-}
-
-void PbsServer::queue_insert_by_seq(Job& job) {
-    util::ensure(!job.in_eligible_queue, "queue_insert_by_seq: already linked");
-    Job* after = queue_head_;
-    while (after != nullptr && after->seq < job.seq) after = after->queue_next;
-    // Insert before `after` (nullptr = append at tail).
-    job.queue_next = after;
-    job.queue_prev = after != nullptr ? after->queue_prev : queue_tail_;
-    if (job.queue_prev != nullptr)
-        job.queue_prev->queue_next = &job;
-    else
-        queue_head_ = &job;
-    if (after != nullptr)
-        after->queue_prev = &job;
-    else
-        queue_tail_ = &job;
-    job.in_eligible_queue = true;
-    ++eligible_count_;
-}
-
-void PbsServer::queue_unlink(Job& job) {
-    if (!job.in_eligible_queue) return;
-    if (job.queue_prev != nullptr)
-        job.queue_prev->queue_next = job.queue_next;
-    else
-        queue_head_ = job.queue_next;
-    if (job.queue_next != nullptr)
-        job.queue_next->queue_prev = job.queue_prev;
-    else
-        queue_tail_ = job.queue_prev;
-    job.queue_prev = nullptr;
-    job.queue_next = nullptr;
-    job.in_eligible_queue = false;
-    --eligible_count_;
-    ++queue_unlinks_;
-}
-
 void PbsServer::verify_incremental_state() const {
     int agg = 0;
     int total = 0;
@@ -241,44 +189,24 @@ void PbsServer::verify_incremental_state() const {
                  "consistency: idle set holds a stale record");
     util::ensure(total == total_cpus_, "consistency: total-CPU count diverged");
 
-    // The job table's window: slot i holds seq job_base_ + i, the front
-    // slot is never a purged hole, and every issued seq has a slot.
-    util::ensure(jobs_.empty() || jobs_.front() != nullptr,
-                 "consistency: job table front slot is a purged hole");
-    util::ensure(job_base_ + jobs_.size() == next_seq_,
-                 "consistency: job table window diverged from next_seq");
+    // Beyond their own checks: retired jobs are completed, queued ones linked.
+    jobs_.verify([](const Job& job) { return job.state == JobState::kCompleted; });
+    eligible_.verify();
     std::size_t queued = 0;
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const Job* job = jobs_[i].get();
-        if (job == nullptr) continue;
-        util::ensure(job->seq == job_base_ + i, "consistency: job table slot diverged from seq");
-        if (job->state == JobState::kCompleted) continue;
-        if (job->state == JobState::kQueued) ++queued;
-        if (!job->text_dirty) {
-            const auto* chunk = qstat_f_doc_.find(job->seq);
+    jobs_.for_each([&](const Job& job) {
+        util::ensure(EligibleQueue::linked(job) == (job.state == JobState::kQueued),
+                     "consistency: eligible-list membership diverged from job state");
+        if (job.state == JobState::kCompleted) return;
+        if (job.state == JobState::kQueued) ++queued;
+        if (!job.text_dirty) {
+            const auto* chunk = qstat_f_doc_.find(job.seq);
             fresh.clear();
-            render_job_stanza(*job, fresh);
+            render_job_stanza(job, fresh);
             util::ensure(chunk != nullptr && chunk->text == fresh,
                          "consistency: clean qstat -f stanza diverged from state");
         }
-    }
-
-    // Eligible list: strictly increasing seq, kQueued only, symmetric links.
-    std::size_t linked = 0;
-    const Job* prev = nullptr;
-    for (const Job* j = queue_head_; j != nullptr; j = j->queue_next) {
-        util::ensure(j->in_eligible_queue, "consistency: linked job missing flag");
-        util::ensure(j->state == JobState::kQueued,
-                     "consistency: non-queued job in eligible list");
-        util::ensure(j->queue_prev == prev, "consistency: eligible list links broken");
-        util::ensure(prev == nullptr || prev->seq < j->seq,
-                     "consistency: eligible list out of seq order");
-        prev = j;
-        ++linked;
-    }
-    util::ensure(prev == queue_tail_, "consistency: eligible tail diverged");
-    util::ensure(linked == eligible_count_, "consistency: eligible count diverged");
-    util::ensure(queued == eligible_count_,
+    });
+    util::ensure(queued == eligible_.size(),
                  "consistency: a queued job is missing from the eligible list");
 }
 
@@ -299,7 +227,7 @@ Result<std::string> PbsServer::submit(const JobScript& script, const std::string
                                       JobBehavior behavior) {
     if (owner.empty()) return Error{"submit: owner required"};
     auto job = std::make_unique<Job>();
-    job->seq = next_seq_++;
+    job->seq = jobs_.next_key();
     append_job_id(job->id, job->seq);
     job->name = script.name;
     job->owner = owner;
@@ -316,9 +244,8 @@ Result<std::string> PbsServer::submit(const JobScript& script, const std::string
     job->behavior = std::move(behavior);
 
     std::string id = job->id;
-    Job* raw = job.get();
-    jobs_.push_back(std::move(job));  // slot raw->seq - job_base_
-    queue_push_back(*raw);  // new seqs are monotonic, so append keeps order
+    Job* raw = &jobs_.push(std::move(job));
+    eligible_.push_back(*raw);  // new seqs are monotonic, so append keeps order
     touch_job(*raw);
     ++stats_.submitted;
     mark_mutation();
@@ -351,7 +278,7 @@ Status PbsServer::qhold(const std::string& job_id) {
     if (job->state != JobState::kQueued)
         return Error{"qhold: job not in a holdable state: " + job_id};
     job->state = JobState::kHeld;
-    queue_unlink(*job);  // held jobs are invisible to the scheduler walk
+    eligible_.unlink(*job);  // held jobs are invisible to the scheduler walk
     touch_job(*job);
     mark_mutation();
     if (engine_.logger().enabled(util::LogLevel::kDebug))
@@ -366,7 +293,7 @@ Status PbsServer::qrls(const std::string& job_id) {
     if (job == nullptr) return Error{"qrls: unknown job " + job_id};
     if (job->state != JobState::kHeld) return Error{"qrls: job not held: " + job_id};
     job->state = JobState::kQueued;
-    queue_insert_by_seq(*job);  // back to its arrival slot
+    eligible_.insert_by_key(*job);  // back to its arrival slot
     touch_job(*job);
     mark_mutation();
     if (engine_.logger().enabled(util::LogLevel::kDebug))
@@ -397,16 +324,6 @@ Status PbsServer::set_node_properties(const std::string& hostname,
     return Status::ok_status();
 }
 
-Job* PbsServer::job_by_seq(std::uint64_t seq) {
-    return const_cast<Job*>(std::as_const(*this).job_by_seq(seq));
-}
-
-const Job* PbsServer::job_by_seq(std::uint64_t seq) const {
-    // A seq below the base wraps to a huge slot and misses like one past the end.
-    const std::uint64_t slot = seq - job_base_;
-    return slot < jobs_.size() ? jobs_[slot].get() : nullptr;
-}
-
 Job* PbsServer::find_job(const std::string& job_id) {
     return const_cast<Job*>(std::as_const(*this).find_job(job_id));
 }
@@ -418,31 +335,30 @@ const Job* PbsServer::find_job(const std::string& job_id) const {
     const std::from_chars_result parsed =
         std::from_chars(job_id.data(), job_id.data() + job_id.size(), seq);
     if (parsed.ec != std::errc{}) return nullptr;
-    const Job* job = job_by_seq(seq);
+    const Job* job = jobs_.find(seq);
     return job != nullptr && job->id == job_id ? job : nullptr;
 }
 
 std::vector<const Job*> PbsServer::queued_jobs() const {
     std::vector<const Job*> out;
-    out.reserve(eligible_count_);
-    for (const Job* j = queue_head_; j != nullptr; j = j->queue_next) out.push_back(j);
+    out.reserve(eligible_.size());
+    for (const Job* j = eligible_.head(); j != nullptr; j = EligibleQueue::next(*j))
+        out.push_back(j);
     return out;
 }
 
 std::vector<const Job*> PbsServer::running_jobs() const {
     std::vector<const Job*> out;
-    for (const auto& job : jobs_)
-        if (job != nullptr &&
-            (job->state == JobState::kRunning || job->state == JobState::kExiting))
-            out.push_back(job.get());
+    jobs_.for_each([&out](const Job& job) {
+        if (job.state == JobState::kRunning || job.state == JobState::kExiting)
+            out.push_back(&job);
+    });
     return out;
 }
 
 std::vector<const Job*> PbsServer::all_jobs() const {
     std::vector<const Job*> out;
-    out.reserve(jobs_.size());
-    for (const auto& job : jobs_)
-        if (job != nullptr) out.push_back(job.get());
+    jobs_.for_each([&out](const Job& job) { out.push_back(&job); });
     return out;
 }
 
@@ -531,10 +447,10 @@ void PbsServer::schedule_cycle() {
         // qhold time, so (TORQUE behaviour) they neither block nor slow a
         // strict-FIFO pass; with strict FIFO a blocked head stops the pass
         // (this is what makes a queue "stuck" in the Fig 5 sense).
-        Job* next = queue_head_;
+        Job* next = eligible_.head();
         while (next != nullptr) {
             Job* job = next;
-            next = job->queue_next;
+            next = EligibleQueue::next(*job);
             // Aggregate early-exit: the free-CPU total is an upper bound on
             // what any placement can use, so a request above it cannot fit
             // and the node scan is skipped. In the stuck steady state this
@@ -554,10 +470,10 @@ void PbsServer::schedule_cycle() {
             // start_job runs the job's on_start hook, which may mutate the
             // queue (qdel/qhold of any job — including `next`). Detect that
             // via the unlink epoch and restart the pass from the new head.
-            const std::uint64_t unlinks_before = queue_unlinks_;
-            queue_unlink(*job);
+            const std::uint64_t unlinks_before = eligible_.unlinks();
+            eligible_.unlink(*job);
             start_job(*job, placement_);
-            if (queue_unlinks_ != unlinks_before + 1) {
+            if (eligible_.unlinks() != unlinks_before + 1) {
                 cycle_again_ = true;
                 break;
             }
@@ -607,7 +523,7 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     // Natural completion.
     const std::uint64_t seq = job.seq;
     job.completion_event = engine_.schedule_after(job.behavior.run_time, [this, seq] {
-        Job* j = job_by_seq(seq);
+        Job* j = jobs_.find(seq);
         if (j != nullptr && j->state == JobState::kRunning)
             finish_job(*j, CompletionKind::kNormal);
     });
@@ -616,7 +532,7 @@ void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
     if (config_.enforce_walltime && job.resources.walltime.has_value() &&
         *job.resources.walltime < job.behavior.run_time) {
         job.walltime_event = engine_.schedule_after(*job.resources.walltime, [this, seq] {
-            Job* j = job_by_seq(seq);
+            Job* j = jobs_.find(seq);
             if (j != nullptr && j->state == JobState::kRunning)
                 finish_job(*j, CompletionKind::kWalltime);
         });
@@ -649,33 +565,16 @@ void PbsServer::release_allocation(Job& job) {
     job.exec_record_indices.clear();
 }
 
-void PbsServer::purge_completed() {
-    if (config_.completed_retention == 0) return;
-    while (completed_order_.size() > config_.completed_retention) {
-        const std::uint64_t seq = completed_order_.front();
-        completed_order_.pop_front();
-        const Job* job = job_by_seq(seq);
-        util::ensure(job != nullptr && job->state == JobState::kCompleted,
-                     "purge_completed: retention queue out of sync");
-        jobs_[seq - job_base_].reset();
-        ++stats_.purged;
-    }
-    while (!jobs_.empty() && jobs_.front() == nullptr) {
-        jobs_.pop_front();
-        ++job_base_;
-    }
-}
-
 void PbsServer::finish_job(Job& job, CompletionKind kind) {
     cancel_timers(job);
-    queue_unlink(job);  // no-op unless the job was still queued
+    eligible_.unlink(job);  // no-op unless the job was still queued
     release_allocation(job);
     job.state = JobState::kCompleted;
     job.completion = kind;
     job.etime_unix = engine_.unix_now();
     removed_job_seqs_.push_back(job.seq);  // drop its qstat -f stanza
     job.text_dirty = false;  // completed jobs never re-render
-    completed_order_.push_back(job.seq);
+    jobs_.retire(job.seq);
     mark_mutation();
     switch (kind) {
         case CompletionKind::kNormal: ++stats_.completed_normal; break;
@@ -699,7 +598,7 @@ void PbsServer::finish_job(Job& job, CompletionKind kind) {
     request_cycle();
     // Last: `job` may be destroyed here (it is completed, so it is purge
     // eligible). Nothing below may touch it.
-    purge_completed();
+    stats_.purged += jobs_.purge();
 }
 
 void PbsServer::handle_node_up(Node& node, OsType os) {
@@ -732,7 +631,7 @@ void PbsServer::handle_node_down(Node& node) {
         if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
     for (const std::uint64_t seq : victims) {
-        Job* job = job_by_seq(seq);
+        Job* job = jobs_.find(seq);
         if (job == nullptr || job->state != JobState::kRunning) continue;
         if (job->rerunnable) {
             // Requeue: release everything, restore queued state. The job
@@ -746,7 +645,7 @@ void PbsServer::handle_node_down(Node& node) {
             ++job->requeue_count;
             ++stats_.requeued;
             // Reinsert preserving seq (arrival) order among queued jobs.
-            queue_insert_by_seq(*job);
+            eligible_.insert_by_key(*job);
             touch_job(*job);
             engine_.logger().info("pbs/" + config_.server_name,
                                   "requeued " + job->id + " after node failure");
@@ -761,17 +660,9 @@ void PbsServer::handle_node_down(Node& node) {
 PbsServer::SavedState PbsServer::save_state() const {
     util::require(!in_cycle_, "PbsServer::save_state: cannot snapshot mid-cycle");
     SavedState s;
-    s.next_seq = next_seq_;
-    s.job_base = job_base_;
+    s.table = jobs_.save();
     s.nodes = nodes_;
-    s.jobs.reserve(jobs_.size());
-    for (const auto& job : jobs_)
-        if (job != nullptr) s.jobs.push_back(*job);
-    s.eligible_order.reserve(eligible_count_);
-    for (const Job* j = queue_head_; j != nullptr; j = j->queue_next)
-        s.eligible_order.push_back(j->seq);
-    s.completed_order = completed_order_;
-    s.queue_unlinks = queue_unlinks_;
+    s.eligible_order = eligible_.keys();
     s.stats = stats_;
     s.version = version_;
     s.free_cpu_agg = free_cpu_agg_;
@@ -789,37 +680,9 @@ PbsServer::SavedState PbsServer::save_state() const {
 
 void PbsServer::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "PbsServer::restore_state: cannot restore mid-cycle");
-    next_seq_ = s.next_seq;
-    job_base_ = s.job_base;
-    util::ensure(job_base_ <= next_seq_, "PbsServer::restore_state: job table base past next seq");
     nodes_ = s.nodes;
-    jobs_.clear();
-    jobs_.resize(next_seq_ - job_base_);
-    for (const Job& job : s.jobs) {
-        util::ensure(job.seq >= job_base_ && job.seq < next_seq_,
-                     "PbsServer::restore_state: job outside the table window");
-        auto& slot = jobs_[job.seq - job_base_];
-        slot = std::make_unique<Job>(job);
-        slot->queue_prev = nullptr;  // relinked below from the saved order
-        slot->queue_next = nullptr;
-    }
-    queue_head_ = nullptr;
-    queue_tail_ = nullptr;
-    eligible_count_ = 0;
-    for (const std::uint64_t seq : s.eligible_order) {
-        Job* job = job_by_seq(seq);
-        util::ensure(job != nullptr, "PbsServer::restore_state: eligible job missing");
-        job->in_eligible_queue = true;
-        job->queue_prev = queue_tail_;
-        if (queue_tail_ != nullptr)
-            queue_tail_->queue_next = job;
-        else
-            queue_head_ = job;
-        queue_tail_ = job;
-        ++eligible_count_;
-    }
-    completed_order_ = s.completed_order;
-    queue_unlinks_ = s.queue_unlinks;
+    jobs_.restore(s.table);
+    eligible_.relink(s.eligible_order, [this](std::uint64_t seq) { return jobs_.find(seq); });
     in_cycle_ = false;
     cycle_again_ = false;
     stats_ = s.stats;

@@ -6,20 +6,18 @@
 // APIs for other programs".
 //
 // State is indexed for 100k-node / million-job scale: node lookups go
-// through hash maps (never a pointer scan); jobs live in one dense table
-// indexed by their integer sequence number (seq − job_base_), never keyed by
-// the id string, so every seq-ordered walk is a table walk; placement walks
-// a bitset fit index (one util::IndexBitset per free-CPU threshold) in
-// ascending record order instead of every record; the scheduler walks an
-// intrusive list of eligible queued jobs only; and the text layer
-// re-renders just the stanzas whose backing state moved (see
-// util::TextDocument and DESIGN.md "Indexed scheduler state").
+// through hash maps (never a pointer scan); jobs live in a util::JobWindow
+// keyed by their integer sequence number, never by the id string, so every
+// seq-ordered walk is a table walk; placement walks a bitset fit index (one
+// util::IndexBitset per free-CPU threshold) in ascending record order
+// instead of every record; the scheduler walks a util::IntrusiveFifo of the
+// eligible queued jobs only; and the text layer re-renders just the stanzas
+// whose backing state moved (see util::TextDocument and DESIGN.md "Indexed
+// scheduler state"). HpcScheduler keeps its jobs in the same two templates.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -32,6 +30,8 @@
 #include "pbs/job_script.hpp"
 #include "sim/engine.hpp"
 #include "util/index_bitset.hpp"
+#include "util/intrusive_fifo.hpp"
+#include "util/job_window.hpp"
 #include "util/result.hpp"
 #include "util/text_document.hpp"
 
@@ -106,12 +106,9 @@ struct PbsServerConfig {
     /// Ids start near the paper's listings. Must be > 0: seq 0 marks a free
     /// cpu slot in NodeRecord::cpu_owner.
     std::uint64_t first_job_seq = 1185;
-    /// Completed-job records retained before the oldest are purged from the
-    /// server (0 = keep everything, the TORQUE-ish default). Million-job
-    /// arrival streams set this to cap the retained records. The job table
-    /// still spans every seq issued since the oldest unpurged job, so one
-    /// long-held or never-placeable job keeps an 8-byte slot for every
-    /// later seq.
+    /// Completed-job records retained before the oldest are purged (0 = keep
+    /// everything, the TORQUE-ish default); million-job arrival streams set
+    /// it. A long-held job still pins the table's span (util::JobWindow).
     std::size_t completed_retention = 0;
 };
 
@@ -168,7 +165,7 @@ public:
     /// Number of eligible queued jobs. O(1): the intrusive queue keeps a
     /// live count, so admission control (hc::serve overload shedding) can
     /// consult depth every cycle without materialising the job list.
-    [[nodiscard]] std::size_t queued_count() const { return eligible_count_; }
+    [[nodiscard]] std::size_t queued_count() const { return eligible_.size(); }
     [[nodiscard]] std::vector<const Job*> running_jobs() const;
     [[nodiscard]] std::vector<const Job*> all_jobs() const;
 
@@ -246,9 +243,6 @@ public:
 private:
     /// Append the id this server gives job `seq` ("<seq>.<server_name>").
     void append_job_id(std::string& out, std::uint64_t seq) const;
-    /// Job by sequence number, or nullptr (purged or never issued). O(1).
-    [[nodiscard]] Job* job_by_seq(std::uint64_t seq);
-    [[nodiscard]] const Job* job_by_seq(std::uint64_t seq) const;
     /// Allocate `record_indices` (a try_place result) to `job` and run it.
     void start_job(Job& job, const std::vector<int>& record_indices);
     void finish_job(Job& job, CompletionKind kind);
@@ -277,13 +271,6 @@ private:
     void touch_node(std::size_t idx);
     /// Mark the job's qstat -f stanza dirty.
     void touch_job(Job& job);
-    /// Drop the oldest completed records beyond the configured retention.
-    void purge_completed();
-
-    // ---- eligible-queue intrusive list (seq order, kQueued only) ----
-    void queue_push_back(Job& job);
-    void queue_insert_by_seq(Job& job);
-    void queue_unlink(Job& job);
 
     /// Brute-force recount of free counts, aggregates, set memberships, the
     /// eligible list, and chunk freshness; throws on divergence from the
@@ -301,24 +288,15 @@ private:
 
     sim::Engine& engine_;
     PbsServerConfig config_;
-    std::uint64_t next_seq_;
     std::vector<NodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
-    // Job table: slot i holds job job_base_ + i, or nullptr once purged.
-    // Purged slots at the front are popped, so the front slot is non-null
-    // unless the table is empty, and every issued seq >= job_base_ has a slot.
-    std::deque<std::unique_ptr<Job>> jobs_;
-    std::uint64_t job_base_;
-    std::deque<std::uint64_t> completed_order_;  ///< seqs in completion order (retention)
-    std::vector<int> placement_;                 ///< try_place's result; keeps its capacity
+    using JobTable = util::JobWindow<Job, &Job::seq>;
+    using EligibleQueue = util::IntrusiveFifo<Job, &Job::queue_link, &Job::seq>;
 
-    // Eligible queued jobs (state kQueued), seq order. Head/tail of the
-    // intrusive list threaded through Job::queue_prev/queue_next.
-    Job* queue_head_ = nullptr;
-    Job* queue_tail_ = nullptr;
-    std::size_t eligible_count_ = 0;
-    std::uint64_t queue_unlinks_ = 0;  ///< guards cycle iteration vs. reentrant removal
+    JobTable jobs_;  ///< every unpurged job; next_key() is the next seq to issue
+    EligibleQueue eligible_;  ///< kQueued jobs, seq order
+    std::vector<int> placement_;  ///< try_place's result; keeps its capacity
 
     void emit_event(JobEvent event, const Job& job);
 
@@ -364,9 +342,10 @@ private:
 
 public:
     /// World-snapshot hook (DESIGN.md "Snapshot / fork"). Captures every
-    /// mutable field — the unpurged job records (deep copies, which carry
-    /// their pending completion/walltime EventIds) and the job table's base
-    /// seq, the eligible-queue order, node records, index sets, the
+    /// mutable field — the job table (its seq window, retention queue and
+    /// deep copies of the unpurged records, which carry their pending
+    /// completion/walltime EventIds but no queue links), the eligible-queue
+    /// order, node records, index sets, the
     /// incremental text documents and their dirty lists — so a restore
     /// resumes byte-identically, including the qstat/pbsnodes document
     /// versions the detector streams against. Node/name indices and
@@ -376,13 +355,9 @@ public:
     /// taken/restored outside a scheduler cycle, paired with an
     /// Engine::restore() of the calendar the EventIds point into.
     struct SavedState {
-        std::uint64_t next_seq = 0;
-        std::uint64_t job_base = 0;  ///< seq of the job table's front slot
+        JobTable::Saved table;  ///< seqs [base, next), unpurged records in seq order
         std::vector<NodeRecord> nodes;
-        std::vector<Job> jobs;  ///< the unpurged records, seq order
         std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
-        std::deque<std::uint64_t> completed_order;
-        std::uint64_t queue_unlinks = 0;
         ServerStats stats;
         std::uint64_t version = 0;
         int free_cpu_agg = 0;

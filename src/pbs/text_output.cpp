@@ -174,7 +174,7 @@ void PbsServer::refresh_documents() const {
     }
     dirty_nodes_.clear();
     for (std::uint64_t seq : dirty_job_seqs_) {
-        Job* job = const_cast<Job*>(job_by_seq(seq));
+        Job* job = jobs_.find(seq);
         if (job == nullptr || job->state == JobState::kCompleted) continue;  // completed (maybe purged)
         render_buf_.clear();
         render_job_stanza(*job, render_buf_);
@@ -216,8 +216,9 @@ std::string PbsServer::debug_full_render_pbsnodes() const {
 
 std::string PbsServer::debug_full_render_qstat_f() const {
     std::string out;
-    for (const auto& job : jobs_)
-        if (job != nullptr && job->state != JobState::kCompleted) render_job_stanza(*job, out);
+    jobs_.for_each([&](const Job& job) {
+        if (job.state != JobState::kCompleted) render_job_stanza(job, out);
+    });
     return out;
 }
 
@@ -241,31 +242,31 @@ std::string PbsServer::qstat_output() const {
 std::string PbsServer::render_qstat(bool& time_sensitive) const {
     std::string out;
     bool any = false;
-    for (const auto& job : jobs_) {
-        if (job == nullptr || job->state == JobState::kCompleted) continue;
+    jobs_.for_each([&](const Job& job) {
+        if (job.state == JobState::kCompleted) return;
         if (!any) {
             out += "Job ID                    Name             User            Time Use S Queue\n";
             out += "------------------------- ---------------- --------------- -------- - -----\n";
             any = true;
         }
         // TORQUE truncates the server suffix in the brief view.
-        std::string short_id = job->id;
+        std::string short_id = job.id;
         const auto first_dot = short_id.find('.');
         if (first_dot != std::string::npos) {
             const auto second_dot = short_id.find('.', first_dot + 1);
             if (second_dot != std::string::npos) short_id = short_id.substr(0, second_dot);
         }
-        const std::string user = job->owner.substr(0, job->owner.find('@'));
+        const std::string user = job.owner.substr(0, job.owner.find('@'));
         const std::int64_t cpu_time =
-            job->stime_unix > 0 ? engine_.unix_now() - job->stime_unix : 0;
-        if (job->stime_unix > 0) time_sensitive = true;  // Time Use column ticks
+            job.stime_unix > 0 ? engine_.unix_now() - job.stime_unix : 0;
+        if (job.stime_unix > 0) time_sensitive = true;  // Time Use column ticks
         char line[160];
         std::snprintf(line, sizeof line, "%-25s %-16.16s %-15.15s %8s %c %s\n",
-                      short_id.c_str(), job->name.c_str(), user.c_str(),
-                      job->stime_unix > 0 ? util::format_duration(cpu_time).c_str() : "0",
-                      job_state_char(job->state), job->queue.c_str());
+                      short_id.c_str(), job.name.c_str(), user.c_str(),
+                      job.stime_unix > 0 ? util::format_duration(cpu_time).c_str() : "0",
+                      job_state_char(job.state), job.queue.c_str());
         out += line;
-    }
+    });
     return out;
 }
 

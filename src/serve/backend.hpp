@@ -7,8 +7,8 @@
 // backend through the typed SDK surface.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -121,8 +121,11 @@ public:
     }
 
     [[nodiscard]] std::string job_state(const std::string& job_id) const override {
-        const int id = std::atoi(job_id.c_str());
-        if (id <= 0) return {};
+        // A client's id: a whole decimal int, no sign, space, suffix or overflow.
+        int id = 0;
+        const char* end = job_id.data() + job_id.size();
+        const std::from_chars_result parsed = std::from_chars(job_id.data(), end, id);
+        if (parsed.ec != std::errc{} || parsed.ptr != end) return {};
         const winhpc::HpcJob* job = scheduler_.get_job(id);
         if (job == nullptr) return {};
         return winhpc::hpc_job_state_name(job->state);

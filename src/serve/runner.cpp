@@ -139,7 +139,9 @@ ServeResult run_serve(const ServeSpec& spec, util::Arena* arena) {
         pbs_server = std::make_unique<pbs::PbsServer>(engine, server_cfg);
         backend = std::make_unique<PbsBackend>(*pbs_server);
     } else {
-        hpc_scheduler = std::make_unique<winhpc::HpcScheduler>(engine);
+        winhpc::HpcSchedulerConfig scheduler_cfg;
+        scheduler_cfg.completed_retention = spec.retention;
+        hpc_scheduler = std::make_unique<winhpc::HpcScheduler>(engine, scheduler_cfg);
         backend = std::make_unique<WinHpcBackend>(*hpc_scheduler);
     }
     for (auto* node : cluster.nodes()) {

@@ -54,7 +54,7 @@ struct ServeSpec {
     BackendKind backend = BackendKind::kPbs;
     double cycle_seconds = 1.0;
     double poll_minutes = 5.0;
-    std::size_t retention = 1024;  ///< completed-job records the backend keeps
+    std::size_t retention = 1024;  ///< completed-job records either backend keeps
     AdmissionConfig admission;
     workload::ArrivalSpec arrival;
     ServeCloudSpec cloud;

@@ -39,19 +39,14 @@ public:
     explicit operator bool() const { return ok(); }
 
     /// Access the value. Throws PreconditionError if this holds an error;
-    /// callers must check ok() first.
+    /// callers must check ok() first. A successful call allocates nothing.
     [[nodiscard]] const T& value() const& {
-        require(ok(), "Result::value() called on error: " + error_message());
+        if (!ok()) [[unlikely]]
+            throw PreconditionError("Result::value() called on error: " + error_message());
         return std::get<T>(data_);
     }
-    [[nodiscard]] T& value() & {
-        require(ok(), "Result::value() called on error: " + error_message());
-        return std::get<T>(data_);
-    }
-    [[nodiscard]] T&& take() && {
-        require(ok(), "Result::take() called on error: " + error_message());
-        return std::move(std::get<T>(data_));
-    }
+    [[nodiscard]] T& value() & { return const_cast<T&>(std::as_const(*this).value()); }
+    [[nodiscard]] T&& take() && { return std::move(value()); }
 
     [[nodiscard]] const Error& error() const {
         require(!ok(), "Result::error() called on success value");

@@ -46,12 +46,12 @@ HpcNodeState HpcNodeRecord::state() const {
 }
 
 HpcScheduler::HpcScheduler(sim::Engine& engine, HpcSchedulerConfig config)
-    : engine_(engine), config_(std::move(config)) {
+    : engine_(engine), config_(std::move(config)), jobs_(1, config_.completed_retention) {
     obs::Hub& hub = engine_.obs();
     obs_cycles_ = hub.metrics().counter("winhpc.sched.cycles");
     obs_track_ = hub.tracer().track("winhpc/sched");
     hub.metrics().add_provider([this](obs::Registry& reg) {
-        reg.gauge("winhpc.queue.depth").set(static_cast<double>(queued_count_));
+        reg.gauge("winhpc.queue.depth").set(static_cast<double>(queue_.size()));
         reg.gauge("winhpc.free_cores").set(static_cast<double>(free_core_agg_));
         reg.gauge("winhpc.jobs.started").set(static_cast<double>(stats_.started));
         reg.gauge("winhpc.jobs.finished").set(static_cast<double>(stats_.finished));
@@ -111,56 +111,6 @@ void HpcScheduler::adjust_free(std::size_t idx, int delta) {
     update_node_state(idx);
 }
 
-// ---- queued-job intrusive list -------------------------------------------
-
-void HpcScheduler::queue_push_back(HpcJob& job) {
-    util::ensure(!job.in_queue, "queue_push_back: already linked");
-    job.queue_prev = queue_tail_;
-    job.queue_next = nullptr;
-    if (queue_tail_ != nullptr)
-        queue_tail_->queue_next = &job;
-    else
-        queue_head_ = &job;
-    queue_tail_ = &job;
-    job.in_queue = true;
-    ++queued_count_;
-}
-
-void HpcScheduler::queue_insert_by_id(HpcJob& job) {
-    util::ensure(!job.in_queue, "queue_insert_by_id: already linked");
-    HpcJob* after = queue_head_;
-    while (after != nullptr && after->id < job.id) after = after->queue_next;
-    job.queue_next = after;
-    job.queue_prev = after != nullptr ? after->queue_prev : queue_tail_;
-    if (job.queue_prev != nullptr)
-        job.queue_prev->queue_next = &job;
-    else
-        queue_head_ = &job;
-    if (after != nullptr)
-        after->queue_prev = &job;
-    else
-        queue_tail_ = &job;
-    job.in_queue = true;
-    ++queued_count_;
-}
-
-void HpcScheduler::queue_unlink(HpcJob& job) {
-    if (!job.in_queue) return;
-    if (job.queue_prev != nullptr)
-        job.queue_prev->queue_next = job.queue_next;
-    else
-        queue_head_ = job.queue_next;
-    if (job.queue_next != nullptr)
-        job.queue_next->queue_prev = job.queue_prev;
-    else
-        queue_tail_ = job.queue_prev;
-    job.queue_prev = nullptr;
-    job.queue_next = nullptr;
-    job.in_queue = false;
-    --queued_count_;
-    ++queue_unlinks_;
-}
-
 void HpcScheduler::verify_incremental_state() const {
     int agg = 0;
     int total = 0;
@@ -195,33 +145,20 @@ void HpcScheduler::verify_incremental_state() const {
     util::ensure(agg == free_core_agg_, "consistency: free-core aggregate diverged");
     util::ensure(total == total_cores_, "consistency: total-core count diverged");
 
-    // Queued list: strictly increasing ids, kQueued only, symmetric links,
-    // and it covers every queued job. Running count matches reality.
-    std::size_t linked = 0;
-    const HpcJob* prev = nullptr;
-    for (const HpcJob* j = queue_head_; j != nullptr; j = j->queue_next) {
-        util::ensure(j->in_queue, "consistency: linked job missing flag");
-        util::ensure(j->state == HpcJobState::kQueued,
-                     "consistency: non-queued job in queued list");
-        util::ensure(j->queue_prev == prev, "consistency: queued list links broken");
-        util::ensure(prev == nullptr || prev->id < j->id,
-                     "consistency: queued list out of id order");
-        prev = j;
-        ++linked;
-    }
-    util::ensure(prev == queue_tail_, "consistency: queued tail diverged");
-    util::ensure(linked == queued_count_, "consistency: queued count diverged");
+    // Beyond their own checks: retired jobs have ended, queued ones are linked.
+    jobs_.verify([](const HpcJob& job) {
+        return job.state != HpcJobState::kQueued && job.state != HpcJobState::kRunning;
+    });
+    queue_.verify();
     std::size_t queued = 0;
     std::size_t running = 0;
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        const HpcJob& job = *jobs_[i];
-        util::ensure(job.id == static_cast<int>(i) + 1, "consistency: job table out of id order");
+    jobs_.for_each([&](const HpcJob& job) {
+        util::ensure(HpcJobQueue::linked(job) == (job.state == HpcJobState::kQueued),
+                     "consistency: queued-list membership diverged from job state");
         if (job.state == HpcJobState::kQueued) ++queued;
         if (job.state == HpcJobState::kRunning) ++running;
-    }
-    util::ensure(jobs_.size() + 1 == static_cast<std::size_t>(next_id_),
-                 "consistency: job table size diverged from the next id");
-    util::ensure(queued == queued_count_,
+    });
+    util::ensure(queued == queue_.size(),
                  "consistency: a queued job is missing from the queued list");
     util::ensure(running == running_count_, "consistency: running count diverged");
 }
@@ -229,7 +166,7 @@ void HpcScheduler::verify_incremental_state() const {
 int HpcScheduler::submit_job(HpcJobSpec spec) {
     util::require(spec.min_resources > 0, "submit_job: min_resources must be positive");
     auto job = std::make_unique<HpcJob>();
-    job->id = next_id_++;
+    job->id = static_cast<int>(jobs_.next_key());
     job->name = std::move(spec.name);
     job->owner = std::move(spec.owner);
     job->unit = spec.unit;
@@ -250,22 +187,17 @@ int HpcScheduler::submit_job(HpcJobSpec spec) {
     job->submit_unix = engine_.unix_now();
     job->state = HpcJobState::kQueued;
     const int id = job->id;
-    HpcJob* raw = job.get();
-    jobs_.push_back(std::move(job));  // slot id - 1
-    queue_push_back(*raw);  // ids are monotonic, so append keeps order
+    queue_.push_back(jobs_.push(std::move(job)));  // ids are monotonic, so append keeps order
     ++stats_.submitted;
-    engine_.logger().debug("winhpc/" + config_.cluster_name, "submit job " + std::to_string(id));
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("winhpc/" + config_.cluster_name,
+                               "submit job " + std::to_string(id));
     schedule_cycle();
     return id;
 }
 
-HpcJob* HpcScheduler::job_by_id(int id) const {
-    if (id < 1 || static_cast<std::size_t>(id) > jobs_.size()) return nullptr;
-    return jobs_[static_cast<std::size_t>(id) - 1].get();
-}
-
 Status HpcScheduler::cancel_job(int id) {
-    HpcJob* found = job_by_id(id);
+    HpcJob* found = jobs_.find(id);
     if (found == nullptr) return Error{"cancel_job: unknown job " + std::to_string(id)};
     HpcJob& job = *found;
     if (job.state == HpcJobState::kQueued || job.state == HpcJobState::kRunning) {
@@ -277,12 +209,13 @@ Status HpcScheduler::cancel_job(int id) {
     return Error{"cancel_job: job not active"};
 }
 
-const HpcJob* HpcScheduler::get_job(int id) const { return job_by_id(id); }
+const HpcJob* HpcScheduler::get_job(int id) const { return jobs_.find(id); }
 
 std::vector<const HpcJob*> HpcScheduler::get_jobs(std::optional<HpcJobState> filter) const {
     std::vector<const HpcJob*> out;
-    for (const auto& job : jobs_)
-        if (!filter.has_value() || job->state == *filter) out.push_back(job.get());
+    jobs_.for_each([&](const HpcJob& job) {
+        if (!filter.has_value() || job.state == *filter) out.push_back(&job);
+    });
     return out;
 }
 
@@ -370,10 +303,10 @@ void HpcScheduler::schedule_cycle() {
         cycle_again_ = false;
         obs_cycles_.inc();
         if (consistency_checks_) verify_incremental_state();
-        HpcJob* next = queue_head_;
+        HpcJob* next = queue_.head();
         while (next != nullptr) {
             HpcJob* job = next;
-            next = job->queue_next;
+            next = HpcJobQueue::next(*job);
             // Aggregate early-exit: a node-unit job cannot fit when fewer
             // idle nodes exist than it asks for; a core-unit job cannot fit
             // past the free-core total. Skips the candidate walk entirely in
@@ -396,10 +329,10 @@ void HpcScheduler::schedule_cycle() {
             // start_job runs the job's on_start hook, which may mutate the
             // queue (cancel of any job — including `next`). Detect that via
             // the unlink epoch and restart the pass from the new head.
-            const std::uint64_t unlinks_before = queue_unlinks_;
-            queue_unlink(*job);
+            const std::uint64_t unlinks_before = queue_.unlinks();
+            queue_.unlink(*job);
             start_job(*job, *placement);
-            if (queue_unlinks_ != unlinks_before + 1) {
+            if (queue_.unlinks() != unlinks_before + 1) {
                 cycle_again_ = true;
                 break;
             }
@@ -430,13 +363,14 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
         job.allocated_record_indices.push_back(idx);
     }
     ++stats_.started;
-    engine_.logger().debug("winhpc/" + config_.cluster_name,
-                           "job " + std::to_string(job.id) + " running");
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("winhpc/" + config_.cluster_name,
+                               "job " + std::to_string(job.id) + " running");
     if (job.on_start) job.on_start(job);
     if (job.tasks.empty()) {
         // Implicit single activity: the whole job runs for run_time.
         job.completion_event = engine_.schedule_after(job.run_time, [this, id = job.id] {
-            HpcJob* j = job_by_id(id);
+            HpcJob* j = jobs_.find(id);
             if (j != nullptr && j->state == HpcJobState::kRunning)
                 finish_job(*j, HpcJobState::kFinished, "completed");
         });
@@ -452,7 +386,7 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
     }
     if (job.runtime_limit.has_value() && *job.runtime_limit < job.run_time) {
         job.limit_event = engine_.schedule_after(*job.runtime_limit, [this, id = job.id] {
-            HpcJob* j = job_by_id(id);
+            HpcJob* j = jobs_.find(id);
             if (j != nullptr && j->state == HpcJobState::kRunning) {
                 ++stats_.killed_runtime_limit;
                 finish_job(*j, HpcJobState::kFailed, "runtime limit");
@@ -462,7 +396,7 @@ void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices
 }
 
 void HpcScheduler::launch_next_task(int job_id) {
-    HpcJob* found = job_by_id(job_id);
+    HpcJob* found = jobs_.find(job_id);
     if (found == nullptr || found->state != HpcJobState::kRunning) return;
     HpcJob& job = *found;
     if (job.next_task_index >= static_cast<int>(job.tasks.size())) return;
@@ -471,7 +405,7 @@ void HpcScheduler::launch_next_task(int job_id) {
     task.start_unix = engine_.unix_now();
     const int task_id = task.id;
     const auto event = engine_.schedule_after(task.run_time, [this, job_id, task_id] {
-        HpcJob* j = job_by_id(job_id);
+        HpcJob* j = jobs_.find(job_id);
         if (j == nullptr || j->state != HpcJobState::kRunning) return;
         HpcJob& running = *j;
         HpcTask& done = running.tasks[static_cast<std::size_t>(task_id) - 1];
@@ -518,19 +452,24 @@ void HpcScheduler::finish_job(HpcJob& job, HpcJobState terminal, const char* why
     for (auto& task : job.tasks)
         if (task.state == HpcJobState::kRunning || task.state == HpcJobState::kQueued)
             task.state = terminal == HpcJobState::kFinished ? HpcJobState::kFinished : terminal;
-    queue_unlink(job);  // no-op unless the job was still queued
+    queue_.unlink(job);  // no-op unless the job was still queued
     if (job.state == HpcJobState::kRunning) --running_count_;
     release_allocation(job);
     job.state = terminal;
     job.end_unix = engine_.unix_now();
+    jobs_.retire(static_cast<std::uint64_t>(job.id));
     if (terminal == HpcJobState::kFinished) ++stats_.finished;
     if (terminal == HpcJobState::kCanceled) ++stats_.canceled;
-    engine_.logger().debug("winhpc/" + config_.cluster_name,
-                           "job " + std::to_string(job.id) + " " +
-                               hpc_job_state_name(terminal) + " (" + why + ")");
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("winhpc/" + config_.cluster_name,
+                               "job " + std::to_string(job.id) + " " +
+                                   hpc_job_state_name(terminal) + " (" + why + ")");
     if (job.on_finish) job.on_finish(job);
     for (const auto& fn : terminal_subscribers_) fn(job);
     schedule_cycle();
+    // Last: `job` may be destroyed here (it has ended, so it is purge
+    // eligible). Nothing below may touch it.
+    jobs_.purge();
 }
 
 void HpcScheduler::requeue_job(HpcJob& job) {
@@ -550,7 +489,7 @@ void HpcScheduler::requeue_job(HpcJob& job) {
     ++job.requeue_count;
     ++stats_.requeued;
     // Preserve submission order among queued jobs.
-    queue_insert_by_id(job);
+    queue_.insert_by_key(job);
 }
 
 void HpcScheduler::handle_node_up(Node& node, OsType os) {
@@ -572,7 +511,7 @@ void HpcScheduler::handle_node_down(Node& node) {
         if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
     for (int id : victims) {
-        HpcJob* job = job_by_id(id);
+        HpcJob* job = jobs_.find(id);
         if (job == nullptr || job->state != HpcJobState::kRunning) continue;
         if (job->rerun_on_failure) {
             requeue_job(*job);
@@ -600,14 +539,10 @@ std::string HpcScheduler::node_list_output() const {
 HpcScheduler::SavedState HpcScheduler::save_state() const {
     util::require(!in_cycle_, "HpcScheduler::save_state: cannot snapshot mid-cycle");
     SavedState s;
-    s.next_id = next_id_;
+    s.table = jobs_.save();
     s.nodes = nodes_;
-    s.jobs.reserve(jobs_.size());
-    for (const auto& job : jobs_) s.jobs.push_back(*job);
-    for (const HpcJob* j = queue_head_; j != nullptr; j = j->queue_next)
-        s.queue_order.push_back(j->id);
+    s.queue_order = queue_.keys();
     s.running_count = running_count_;
-    s.queue_unlinks = queue_unlinks_;
     s.free_core_agg = free_core_agg_;
     s.free = free_;
     s.idle = idle_;
@@ -617,32 +552,10 @@ HpcScheduler::SavedState HpcScheduler::save_state() const {
 
 void HpcScheduler::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "HpcScheduler::restore_state: cannot restore mid-cycle");
-    next_id_ = s.next_id;
     nodes_ = s.nodes;
-    jobs_.clear();
-    jobs_.reserve(s.jobs.size());
-    for (const HpcJob& job : s.jobs) {
-        auto copy = std::make_unique<HpcJob>(job);
-        copy->queue_prev = nullptr;  // relinked below from the saved order
-        copy->queue_next = nullptr;
-        jobs_.push_back(std::move(copy));
-    }
-    queue_head_ = nullptr;
-    queue_tail_ = nullptr;
-    queued_count_ = 0;
-    for (const int id : s.queue_order) {
-        HpcJob* job = job_by_id(id);
-        job->in_queue = true;
-        job->queue_prev = queue_tail_;
-        if (queue_tail_ != nullptr)
-            queue_tail_->queue_next = job;
-        else
-            queue_head_ = job;
-        queue_tail_ = job;
-        ++queued_count_;
-    }
+    jobs_.restore(s.table);
+    queue_.relink(s.queue_order, [this](int id) { return jobs_.find(id); });
     running_count_ = s.running_count;
-    queue_unlinks_ = s.queue_unlinks;
     free_core_agg_ = s.free_core_agg;
     free_ = s.free;
     idle_ = s.idle;

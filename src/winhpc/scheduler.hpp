@@ -7,16 +7,15 @@
 // it directly, preserving the paper's asymmetry with the text-scraping PBS
 // detector.
 //
-// State is kept the way PbsServer keeps it: jobs in a dense table indexed by
-// id - 1 (ids are issued 1, 2, 3, ... and never erased), a running job's
-// pending timers on the job itself, placement candidates in util::IndexBitset
-// sets walked in ascending record order, and an intrusive FCFS list of the
-// queued jobs (see DESIGN.md "Indexed scheduler state").
+// State is kept in PbsServer's shapes: jobs in a util::JobWindow keyed by id
+// (ended jobs past completed_retention are purged), a running job's pending
+// timers on the job itself, placement candidates in util::IndexBitset sets
+// walked in ascending record order, and a util::IntrusiveFifo of the queued
+// jobs (see DESIGN.md "Indexed scheduler state").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -25,6 +24,8 @@
 #include "cluster/node.hpp"
 #include "sim/engine.hpp"
 #include "util/index_bitset.hpp"
+#include "util/intrusive_fifo.hpp"
+#include "util/job_window.hpp"
 #include "util/result.hpp"
 
 namespace hc::winhpc {
@@ -114,12 +115,10 @@ struct HpcJob {
     sim::EventId limit_event;               ///< runtime_limit kill
     std::vector<sim::EventId> task_events;  ///< one per launched task
 
-    // Intrusive membership in the scheduler's queued-job FCFS list (id
-    // order). Maintained by HpcScheduler exclusively; started/canceled jobs
-    // are unlinked eagerly so a pass walks only startable jobs.
-    HpcJob* queue_prev = nullptr;
-    HpcJob* queue_next = nullptr;
-    bool in_queue = false;
+    // Links in the scheduler's queued-job list (id order, kQueued only);
+    // started or canceled jobs are unlinked eagerly, so a pass walks only
+    // startable jobs.
+    util::FifoHook<HpcJob> queue_link;
 
     /// CPUs this job books (the Fig 5 [Needed CPUs] field on the Windows
     /// side). Node-unit jobs count cores_per_node per node.
@@ -127,6 +126,9 @@ struct HpcJob {
         return unit == JobUnitType::kNode ? min_resources * cores_per_node : min_resources;
     }
 };
+
+/// The queued jobs in id order; walk from HpcScheduler::first_queued_job().
+using HpcJobQueue = util::IntrusiveFifo<HpcJob, &HpcJob::queue_link, &HpcJob::id>;
 
 /// Per-node record as the HPC management service sees it.
 struct HpcNodeRecord {
@@ -162,6 +164,9 @@ struct HpcSchedulerConfig {
     std::string cluster_name = "WINHEAD";
     std::string node_template = "Eridani Compute";
     bool strict_fifo = true;
+    /// Ended (finished, failed, canceled) job records retained before the
+    /// oldest are purged, as PbsServerConfig's (0 = keep everything).
+    std::size_t completed_retention = 0;
 };
 
 class HpcScheduler {
@@ -181,15 +186,16 @@ public:
 
     [[nodiscard]] util::Status cancel_job(int id);
 
+    /// Job by id, or nullptr for an id never issued or already purged.
     [[nodiscard]] const HpcJob* get_job(int id) const;
     [[nodiscard]] std::vector<const HpcJob*> get_jobs(
         std::optional<HpcJobState> filter = std::nullopt) const;
 
     /// SDK-style queue metrics (what the Windows detector reads). All O(1):
     /// the counts are maintained incrementally, not recomputed per call.
-    [[nodiscard]] int queued_job_count() const { return static_cast<int>(queued_count_); }
+    [[nodiscard]] int queued_job_count() const { return static_cast<int>(queue_.size()); }
     [[nodiscard]] int running_job_count() const { return static_cast<int>(running_count_); }
-    [[nodiscard]] const HpcJob* first_queued_job() const { return queue_head_; }
+    [[nodiscard]] const HpcJob* first_queued_job() const { return queue_.head(); }
 
     [[nodiscard]] const std::vector<HpcNodeRecord>& node_records() const { return nodes_; }
     [[nodiscard]] int total_cores() const { return total_cores_; }
@@ -219,8 +225,6 @@ public:
     [[nodiscard]] std::string node_list_output() const;
 
 private:
-    /// Job by id, or nullptr for an id this scheduler never issued. O(1).
-    [[nodiscard]] HpcJob* job_by_id(int id) const;
     void start_job(HpcJob& job, const std::vector<int>& record_indices);
     void launch_next_task(int job_id);
     void finish_job(HpcJob& job, HpcJobState terminal, const char* why);
@@ -241,24 +245,16 @@ private:
     void update_node_state(std::size_t idx);
     void verify_incremental_state() const;
 
-    // ---- queued-job intrusive list (id order) ----
-    void queue_push_back(HpcJob& job);
-    void queue_insert_by_id(HpcJob& job);
-    void queue_unlink(HpcJob& job);
-
     sim::Engine& engine_;
     HpcSchedulerConfig config_;
-    int next_id_ = 1;
     std::vector<HpcNodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
-    std::vector<std::unique_ptr<HpcJob>> jobs_;  ///< job id - 1 → job (never erased)
+    using JobTable = util::JobWindow<HpcJob, &HpcJob::id>;
 
-    HpcJob* queue_head_ = nullptr;
-    HpcJob* queue_tail_ = nullptr;
-    std::size_t queued_count_ = 0;
+    JobTable jobs_;  ///< every unpurged job; next_key() is the next id to issue
+    HpcJobQueue queue_;  ///< kQueued jobs, id order
     std::size_t running_count_ = 0;
-    std::uint64_t queue_unlinks_ = 0;  ///< guards cycle iteration vs. reentrant removal
 
     int total_cores_ = 0;
     int free_core_agg_ = 0;  ///< free cores on Online nodes
@@ -274,18 +270,16 @@ private:
     obs::TrackId obs_track_{};  ///< "winhpc/sched" trace row
 
 public:
-    /// World-snapshot hook, mirroring PbsServer::SavedState: deep job
-    /// copies in id order (which carry their pending completion/task/limit
-    /// EventIds), the queued-list order, node records and the candidate
+    /// World-snapshot hook, mirroring PbsServer::SavedState: the job table
+    /// (deep copies of the unpurged jobs carry their pending EventIds but no
+    /// queue links), the queued-list order, node records and the candidate
     /// bitsets. Pair with Engine::restore() of the calendar the ids point
     /// into.
     struct SavedState {
-        int next_id = 1;
+        JobTable::Saved table;  ///< ids [base, next), unpurged records in id order
         std::vector<HpcNodeRecord> nodes;
-        std::vector<HpcJob> jobs;      ///< jobs[i] has id i + 1
         std::vector<int> queue_order;  ///< head→tail job-id list
         std::size_t running_count = 0;
-        std::uint64_t queue_unlinks = 0;
         int free_core_agg = 0;
         util::IndexBitset free;
         util::IndexBitset idle;

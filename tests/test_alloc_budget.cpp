@@ -1,9 +1,9 @@
-// Heap-allocation budget of the PBS job lifecycle.
+// Heap-allocation budgets of the PBS and WinHPC job lifecycles.
 //
 // This binary replaces the global operator new with a counting one, so it
 // can pin how many allocations one job costs a warm server: submit, start
-// on a free node, finish at its run time, purge by retention, and the
-// detector-style refresh of the qstat -f document in between. A record that
+// on a free node, finish at its run time, purge by retention, and (on PBS)
+// the detector-style refresh of the qstat -f document in between. A record that
 // starts copying a constant again (the server name, the Variable_List, a
 // hostname per CPU) or a placement that allocates per pass shows up here as
 // a count over the budget.
@@ -20,6 +20,7 @@
 
 #include "cluster/cluster.hpp"
 #include "pbs/server.hpp"
+#include "winhpc/scheduler.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define HC_TEST_SANITIZED 1
@@ -43,16 +44,123 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 #endif
 
-namespace hc::pbs {
+namespace hc {
 namespace {
 
-/// Allocations per job in the steady lifecycle below: the record, its id
-/// and owner strings, the id returned to the caller and the three exec
+/// Boots `nodes` nodes into `os` and attaches each to `head`.
+template <typename Head>
+void boot_nodes(sim::Engine& engine, cluster::Cluster& cluster, Head& head, cluster::OsType os) {
+    for (auto* node : cluster.nodes()) {
+        node->set_boot_resolver([os](const cluster::Node&) {
+            cluster::BootDecision d;
+            d.os = os;
+            return d;
+        });
+        head.attach_node(*node);
+        node->power_on();
+    }
+    engine.run_all();
+}
+
+/// Allocations per job in the steady PBS lifecycle below: the record, its
+/// id and owner strings, the id returned to the caller and the three exec
 /// vectors. The deque blocks of the job table and the retention queue add
 /// about one per 64 jobs each; the budget allows twice that.
 constexpr double kBudgetPerJob = 7 + 2.0 / 32;
 
+#ifndef HC_TEST_SANITIZED
+/// Runs the steady PBS lifecycle (submit, start on a free node, finish at
+/// its run time, purge by retention, and the detector-style refresh of the
+/// qstat -f document in between) and returns the allocations per job.
+/// With `read_id` the loop also reads the returned id through
+/// Result::value(), which must not allocate on success.
+double pbs_allocations_per_job(bool read_id) {
+    sim::Engine engine;
+    cluster::ClusterConfig ccfg;
+    ccfg.node_count = 4;
+    ccfg.timing.jitter = 0;
+    cluster::Cluster cluster(engine, ccfg);
+    pbs::PbsServerConfig cfg;
+    cfg.completed_retention = 16;
+    pbs::PbsServer server(engine, cfg);
+    boot_nodes(engine, cluster, server, cluster::OsType::kLinux);
+
+    // The job under test, taken from the lifecycle events so that the loop
+    // itself touches nothing but the server.
+    const pbs::Job* job = nullptr;
+    server.on_job_event([&job](pbs::PbsServer::JobEvent ev, const pbs::Job& j) {
+        if (ev == pbs::PbsServer::JobEvent::kQueued) job = &j;
+    });
+    pbs::JobScript script;
+    script.name = "steady";
+    script.resources.nodes = 1;
+    script.resources.ppn = 2;
+    std::size_t id_bytes = 0;
+    auto one_job = [&] {
+        pbs::JobBehavior behavior;
+        behavior.run_time = sim::seconds(60);
+        auto id = server.submit(script, "sliang", std::move(behavior));
+        ASSERT_TRUE(id.ok()) << id.error_message();
+        if (read_id) id_bytes += id.value().size();
+        ASSERT_EQ(job->state, pbs::JobState::kRunning);
+        (void)server.qstat_f_document();  // the detector's poll
+        engine.run_for(sim::seconds(60));
+        ASSERT_EQ(job->state, pbs::JobState::kCompleted);
+        (void)server.qstat_f_document();
+    };
+    // Warm up: the retention window fills and every container reaches its
+    // steady capacity.
+    for (int i = 0; i < 256; ++i) {
+        one_job();
+        if (::testing::Test::HasFatalFailure()) return -1;
+    }
+
+    constexpr std::uint64_t kJobs = 1024;
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < kJobs; ++i) {
+        one_job();
+        if (::testing::Test::HasFatalFailure()) return -1;
+    }
+    const std::uint64_t used = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(server.stats().purged, 256 + kJobs - cfg.completed_retention);
+    if (read_id) {
+        EXPECT_GT(id_bytes, 0u);
+    }
+    return static_cast<double>(used) / kJobs;
+}
+#endif
+
 TEST(AllocBudget, SteadySingleNodeJobLifecycle) {
+#ifdef HC_TEST_SANITIZED
+    GTEST_SKIP() << "allocation counts are not meaningful under a sanitizer runtime";
+#else
+    const double per_job = pbs_allocations_per_job(/*read_id=*/false);
+    EXPECT_LE(per_job, kBudgetPerJob)
+        << "the job lifecycle allocated " << per_job << " times per job, budget "
+        << kBudgetPerJob;
+#endif
+}
+
+TEST(AllocBudget, ResultValueOnSuccessAllocatesNothing) {
+#ifdef HC_TEST_SANITIZED
+    GTEST_SKIP() << "allocation counts are not meaningful under a sanitizer runtime";
+#else
+    const double per_job = pbs_allocations_per_job(/*read_id=*/true);
+    EXPECT_LE(per_job, kBudgetPerJob)
+        << "reading each id through Result::value() raised the lifecycle to " << per_job
+        << " allocations per job, budget " << kBudgetPerJob;
+#endif
+}
+
+/// Allocations per job in the steady WinHPC submit→finish cycle below, at
+/// completed_retention 16, measured at 4.03: the record, its two allocation
+/// vectors (cluster node indices and scheduler record indices) and the
+/// candidate vector try_place builds for the placement. The deque blocks of
+/// the job table and the retention queue add about one per 64 jobs each
+/// (the 0.03); the budget allows twice that, as on PBS.
+constexpr double kWinHpcBudgetPerJob = 4 + 2.0 / 32;
+
+TEST(AllocBudget, SteadyWinHpcJobLifecycle) {
 #ifdef HC_TEST_SANITIZED
     GTEST_SKIP() << "allocation counts are not meaningful under a sanitizer runtime";
 #else
@@ -61,55 +169,33 @@ TEST(AllocBudget, SteadySingleNodeJobLifecycle) {
     ccfg.node_count = 4;
     ccfg.timing.jitter = 0;
     cluster::Cluster cluster(engine, ccfg);
-    PbsServerConfig cfg;
+    winhpc::HpcSchedulerConfig cfg;
     cfg.completed_retention = 16;
-    PbsServer server(engine, cfg);
-    for (auto* node : cluster.nodes()) {
-        node->set_boot_resolver([](const cluster::Node&) {
-            cluster::BootDecision d;
-            d.os = cluster::OsType::kLinux;
-            return d;
-        });
-        server.attach_node(*node);
-        node->power_on();
-    }
-    engine.run_all();
+    winhpc::HpcScheduler scheduler(engine, cfg);
+    boot_nodes(engine, cluster, scheduler, cluster::OsType::kWindows);
 
-    // The job under test, taken from the lifecycle events so that the loop
-    // itself allocates nothing (Result::value() builds its error text).
-    const Job* job = nullptr;
-    server.on_job_event([&job](PbsServer::JobEvent ev, const Job& j) {
-        if (ev == PbsServer::JobEvent::kQueued) job = &j;
-    });
-    JobScript script;
-    script.name = "steady";
-    script.resources.nodes = 1;
-    script.resources.ppn = 2;
+    winhpc::HpcJobSpec spec;  // one node for a minute; short strings stay inline
+    spec.run_time = sim::seconds(60);
     auto one_job = [&] {
-        JobBehavior behavior;
-        behavior.run_time = sim::seconds(60);
-        auto id = server.submit(script, "sliang", std::move(behavior));
-        ASSERT_TRUE(id.ok()) << id.error_message();
-        ASSERT_EQ(job->state, JobState::kRunning);
-        (void)server.qstat_f_document();  // the detector's poll
+        const int id = scheduler.submit_job(spec);
+        const winhpc::HpcJob* job = scheduler.get_job(id);
+        ASSERT_NE(job, nullptr);
+        ASSERT_EQ(job->state, winhpc::HpcJobState::kRunning);
         engine.run_for(sim::seconds(60));
-        ASSERT_EQ(job->state, JobState::kCompleted);
-        (void)server.qstat_f_document();
+        ASSERT_EQ(job->state, winhpc::HpcJobState::kFinished);
     };
-    // Warm up: the retention window fills and every container reaches its
-    // steady capacity.
     for (int i = 0; i < 256; ++i) ASSERT_NO_FATAL_FAILURE(one_job());
 
     constexpr std::uint64_t kJobs = 1024;
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (std::uint64_t i = 0; i < kJobs; ++i) ASSERT_NO_FATAL_FAILURE(one_job());
     const std::uint64_t used = g_allocations.load(std::memory_order_relaxed) - before;
-    EXPECT_EQ(server.stats().purged, 256 + kJobs - cfg.completed_retention);
-    EXPECT_LE(static_cast<double>(used), kBudgetPerJob * kJobs)
-        << "the job lifecycle allocated " << static_cast<double>(used) / kJobs
-        << " times per job, budget " << kBudgetPerJob;
+    EXPECT_EQ(scheduler.get_jobs().size(), cfg.completed_retention);  // the rest were purged
+    EXPECT_LE(static_cast<double>(used), kWinHpcBudgetPerJob * kJobs)
+        << "the WinHPC job lifecycle allocated " << static_cast<double>(used) / kJobs
+        << " times per job, budget " << kWinHpcBudgetPerJob;
 #endif
 }
 
 }  // namespace
-}  // namespace hc::pbs
+}  // namespace hc

@@ -531,19 +531,19 @@ TEST(PbsJobTable, HeldJobPinsTheWindowFront) {
     EXPECT_EQ(server.stats().purged, kStream - 1);
     EXPECT_EQ(server.all_jobs().size(), 2u);  // the held job and one retained record
     PbsServer::SavedState window = server.save_state();
-    EXPECT_EQ(window.job_base, server_cfg.first_job_seq);
-    EXPECT_EQ(window.next_seq - window.job_base, kStream + 1);
+    EXPECT_EQ(window.table.base, server_cfg.first_job_seq);
+    EXPECT_EQ(window.table.next - window.table.base, kStream + 1);
 
     // Released, the held job runs and becomes the retained record; the next
     // completion purges it and the front jumps to the newest seq.
     ASSERT_TRUE(server.qrls(held).ok());
     engine.run_all();
-    EXPECT_EQ(server.save_state().job_base, server_cfg.first_job_seq);
+    EXPECT_EQ(server.save_state().table.base, server_cfg.first_job_seq);
     submit();
     engine.run_all();
     EXPECT_EQ(server.find_job(held), nullptr);
     window = server.save_state();
-    EXPECT_EQ(window.next_seq - window.job_base, 1u);
+    EXPECT_EQ(window.table.next - window.table.base, 1u);
     EXPECT_EQ(server.all_jobs().size(), 1u);
 }
 

@@ -506,5 +506,67 @@ TEST_P(ScaleWinHpc, ConsistencyChecksUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScaleWinHpc, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
+/// A 100k-job Windows stream at completed_retention 64: the job table holds
+/// the 64 newest finished records plus the live ones, never the stream.
+/// Every job runs the same 75 s, so under strict FIFO jobs finish in id
+/// order and purges empty the front of the table; the span (slots from the
+/// oldest record to the newest id) then stays within the same bound. A job
+/// that outlived later ones would pin the front and widen the span, which
+/// this stream does not do.
+TEST(ScaleWinHpc, RetentionBoundsTheJobTable) {
+    constexpr std::size_t kRetention = 64;
+    constexpr int kJobs = 100'000;
+    constexpr int kPerStep = 2;  // every 30 s; ~12 of 16 nodes busy, a short queue
+    sim::Engine engine;
+    engine.logger().set_min_level(util::LogLevel::kError);
+    cluster::ClusterConfig ccfg;
+    ccfg.node_count = 16;
+    ccfg.timing.jitter = 0;
+    cluster::Cluster cluster(engine, ccfg);
+    winhpc::HpcSchedulerConfig cfg;
+    cfg.completed_retention = kRetention;
+    winhpc::HpcScheduler scheduler(engine, cfg);
+    for (auto* node : cluster.nodes()) {
+        node->set_boot_resolver([](const cluster::Node&) {
+            cluster::BootDecision d;
+            d.os = cluster::OsType::kWindows;
+            return d;
+        });
+        scheduler.attach_node(*node);
+        node->power_on();
+    }
+    engine.run_all();
+
+    util::Rng rng(7);
+    std::size_t checks = 0;
+    std::size_t widest = 0;
+    for (int submitted = 0; submitted < kJobs;) {
+        for (int i = 0; i < kPerStep; ++i, ++submitted) {
+            winhpc::HpcJobSpec spec;
+            spec.min_resources = static_cast<int>(rng.uniform_int(1, 4));
+            spec.run_time = sim::seconds(75);
+            (void)scheduler.submit_job(std::move(spec));
+        }
+        engine.run_for(sim::seconds(30));
+        if (submitted % (8 * kPerStep) != 0) continue;
+        const auto live = static_cast<std::size_t>(scheduler.queued_job_count() +
+                                                   scheduler.running_job_count());
+        const winhpc::HpcScheduler::SavedState saved = scheduler.save_state();
+        const std::size_t span = saved.table.next - saved.table.base;
+        ASSERT_LE(saved.table.jobs.size(), kRetention + live) << "after " << submitted << " jobs";
+        ASSERT_LE(span, kRetention + live) << "after " << submitted << " jobs";
+        widest = std::max(widest, span);
+        ++checks;
+    }
+    engine.run_all();
+    EXPECT_EQ(scheduler.stats().submitted, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(scheduler.stats().finished, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(scheduler.get_jobs().size(), kRetention);
+    EXPECT_EQ(scheduler.get_job(1), nullptr);
+    EXPECT_NE(scheduler.get_job(kJobs), nullptr);
+    EXPECT_GT(checks, 3000u);
+    EXPECT_GT(widest, kRetention);  // live jobs were counted, not just retained ones
+}
+
 }  // namespace
 }  // namespace hc

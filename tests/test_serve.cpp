@@ -28,6 +28,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/status_json.hpp"
+#include "winhpc/scheduler.hpp"
 #include "workload/arrival.hpp"
 
 namespace {
@@ -295,6 +296,61 @@ TEST(SubmissionService, BadScriptsGetTypedRejections) {
                   serve::RejectReason::kBadScript)],
               2u);
     service.stop();
+}
+
+/// A booted Windows HPC mini-cluster with the serve backend over it.
+struct MiniWinHpc {
+    sim::Engine engine;
+    cluster::Cluster cluster;
+    winhpc::HpcScheduler scheduler;
+    serve::WinHpcBackend backend;
+
+    explicit MiniWinHpc(int nodes)
+        : cluster(engine, MiniPbs::make_cluster_config(nodes)),
+          scheduler(engine, {}),
+          backend(scheduler) {
+        engine.logger().set_min_level(util::LogLevel::kError);
+        for (auto* node : cluster.nodes()) {
+            node->set_boot_resolver([](const cluster::Node&) {
+                cluster::BootDecision decision;
+                decision.os = cluster::OsType::kWindows;
+                return decision;
+            });
+            scheduler.attach_node(*node);
+            node->power_on();
+        }
+        engine.run_all();
+    }
+};
+
+TEST(SubmissionService, WinHpcStatusQueriesTakeOnlyWholeIds) {
+    MiniWinHpc testbed(2);
+    serve::ServiceConfig cfg;
+    cfg.admission.burst_tokens = 64;  // 12 submits and 10 queries, none rate-limited
+    serve::SubmissionService service(testbed.engine, testbed.backend, cfg);
+    serve::InProcSession session;
+    const int id = service.connect(session, "dave");
+    service.start();
+    for (int i = 0; i < 12; ++i) service.submit(id, kScript, sim::minutes(5));
+    testbed.engine.run_for(sim::seconds(5));
+    ASSERT_EQ(session.stats().accepted, 12u);
+    const std::string job_id = session.last_job_id();
+    ASSERT_EQ(job_id, "12");
+    service.stop();
+
+    service.query_status(id, job_id);
+    EXPECT_EQ(session.stats().job_infos, 1u);
+    // Client-supplied ids: a suffix, a sign, a space, a negative, an empty
+    // or an out-of-range number never reads as some job.
+    const std::vector<std::string> strangers = {
+        "12junk", job_id + " ", " " + job_id, "+" + job_id, "-1", "", "0",
+        "99999999999999999999", "2147483648"};
+    for (const std::string& stranger : strangers) service.query_status(id, stranger);
+    EXPECT_EQ(session.stats().job_infos, 1u);
+    EXPECT_EQ(session.stats().rejects_by_reason[static_cast<int>(
+                  serve::RejectReason::kUnknownJob)],
+              strangers.size());
+    EXPECT_EQ(service.counters().answered(), service.counters().requests);
 }
 
 // --------------------------------------------------------- full-run bars --

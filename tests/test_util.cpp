@@ -1,14 +1,20 @@
-// Unit tests for hc_util: strings, Result, time formatting, RNG, tables.
+// Unit tests for hc_util: strings, Result, time formatting, RNG, tables,
+// and the scheduler containers (IndexBitset, IntrusiveFifo, JobWindow).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <list>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "util/errors.hpp"
 #include "util/histogram.hpp"
 #include "util/index_bitset.hpp"
+#include "util/intrusive_fifo.hpp"
+#include "util/job_window.hpp"
 #include "util/log.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -478,6 +484,287 @@ TEST(IndexBitset, RandomOpsMatchOrderedSetOracle) {
             ASSERT_EQ(bits.count(), oracle.size());
         }
         EXPECT_EQ(members(bits), std::vector<std::size_t>(oracle.begin(), oracle.end()));
+    }
+}
+
+// ---------- intrusive FIFO ----------
+
+struct Item {
+    int key = 0;
+    FifoHook<Item> link;
+};
+using ItemFifo = IntrusiveFifo<Item, &Item::link, &Item::key>;
+
+/// Keys head→tail, read through head()/next().
+std::vector<int> walk(const ItemFifo& fifo) {
+    std::vector<int> out;
+    for (const Item* x = fifo.head(); x != nullptr; x = ItemFifo::next(*x)) out.push_back(x->key);
+    return out;
+}
+
+TEST(IntrusiveFifo, PushInsertAndUnlinkKeepKeyOrder) {
+    std::vector<Item> items(6);
+    for (int i = 0; i < 6; ++i) items[static_cast<std::size_t>(i)].key = 10 * i;
+    ItemFifo fifo;
+    EXPECT_EQ(fifo.head(), nullptr);
+    fifo.push_back(items[1]);
+    fifo.push_back(items[3]);
+    fifo.push_back(items[4]);
+    fifo.insert_by_key(items[0]);  // before the head
+    fifo.insert_by_key(items[2]);  // in the middle
+    fifo.insert_by_key(items[5]);  // past the tail
+    EXPECT_EQ(walk(fifo), (std::vector<int>{0, 10, 20, 30, 40, 50}));
+    EXPECT_EQ(fifo.size(), 6u);
+    EXPECT_NO_THROW(fifo.verify());
+
+    fifo.unlink(items[0]);  // head
+    fifo.unlink(items[5]);  // tail
+    fifo.unlink(items[2]);  // middle
+    EXPECT_EQ(fifo.unlinks(), 3u);
+    fifo.unlink(items[2]);  // not linked: a no-op that does not bump the epoch
+    EXPECT_EQ(fifo.unlinks(), 3u);
+    EXPECT_FALSE(ItemFifo::linked(items[2]));
+    EXPECT_TRUE(ItemFifo::linked(items[3]));
+    EXPECT_EQ(walk(fifo), (std::vector<int>{10, 30, 40}));
+    EXPECT_EQ(fifo.size(), 3u);
+    EXPECT_NO_THROW(fifo.verify());
+    EXPECT_THROW(fifo.push_back(items[3]), InvariantError);  // already linked
+    EXPECT_THROW(fifo.insert_by_key(items[3]), InvariantError);
+}
+
+TEST(IntrusiveFifo, CopyIsUnlinkedAndRelinkRestoresOrder) {
+    std::vector<Item> items(3);
+    for (int i = 0; i < 3; ++i) items[static_cast<std::size_t>(i)].key = i + 1;
+    ItemFifo fifo;
+    for (Item& item : items) fifo.push_back(item);
+    const std::vector<int> keys = fifo.keys();
+    EXPECT_EQ(keys, (std::vector<int>{1, 2, 3}));
+
+    const std::vector<Item> copies = items;  // a snapshot's deep copies
+    for (const Item& copy : copies) EXPECT_FALSE(ItemFifo::linked(copy));
+    std::vector<Item> restored = copies;
+    ItemFifo again;
+    again.relink(keys, [&](int key) { return &restored[static_cast<std::size_t>(key) - 1]; });
+    EXPECT_EQ(walk(again), keys);
+    EXPECT_NO_THROW(again.verify());
+    // A key the lookup cannot find, or a repeated one, is a broken snapshot.
+    for (const std::vector<int>& broken : {std::vector<int>{1, 9}, std::vector<int>{1, 1}}) {
+        std::vector<Item> fresh = copies;
+        ItemFifo other;
+        EXPECT_THROW(other.relink(broken,
+                                  [&](int key) -> Item* {
+                                      return key <= 3 ? &fresh[static_cast<std::size_t>(key) - 1]
+                                                      : nullptr;
+                                  }),
+                     InvariantError);
+    }
+
+    // A push_back that breaks key order is caught by verify().
+    std::vector<Item> bad(2);
+    bad[0].key = 5;
+    bad[1].key = 4;
+    ItemFifo unordered;
+    unordered.push_back(bad[0]);
+    unordered.push_back(bad[1]);
+    EXPECT_THROW(unordered.verify(), InvariantError);
+}
+
+TEST(IntrusiveFifo, RandomOpsMatchListOracle) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        Rng rng(seed);
+        std::vector<Item> items(seed % 2 == 0 ? 8 : 200);
+        for (std::size_t i = 0; i < items.size(); ++i) items[i].key = static_cast<int>(3 * i);
+        ItemFifo fifo;
+        std::list<int> oracle;  // linked keys, ascending
+        std::uint64_t unlinks = 0;
+        std::uint64_t inserts = 0;
+        for (int step = 0; step < 4000; ++step) {
+            Item& item = items[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(items.size()) - 1))];
+            const auto roll = rng.uniform_int(0, 99);
+            if (roll < 50 && !ItemFifo::linked(item)) {
+                // Append when the key tops the list, as a submit does;
+                // otherwise insert at the arrival slot, as a requeue does.
+                if (oracle.empty() || oracle.back() < item.key) {
+                    fifo.push_back(item);
+                } else {
+                    fifo.insert_by_key(item);
+                    ++inserts;
+                }
+                oracle.insert(std::find_if(oracle.begin(), oracle.end(),
+                                           [&](int k) { return k > item.key; }),
+                              item.key);
+            } else if (roll < 90) {
+                if (ItemFifo::linked(item)) {
+                    oracle.remove(item.key);
+                    ++unlinks;
+                }
+                fifo.unlink(item);
+            } else {
+                // Snapshot round trip: relink fresh copies from keys().
+                std::vector<Item> copies = items;
+                ItemFifo restored;
+                restored.relink(fifo.keys(), [&](int key) {
+                    return &copies[static_cast<std::size_t>(key / 3)];
+                });
+                ASSERT_EQ(walk(restored), std::vector<int>(oracle.begin(), oracle.end()))
+                    << "relink, seed " << seed << " step " << step;
+                ASSERT_NO_THROW(restored.verify());
+            }
+            ASSERT_EQ(walk(fifo), std::vector<int>(oracle.begin(), oracle.end()))
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(fifo.size(), oracle.size());
+            ASSERT_EQ(fifo.unlinks(), unlinks);
+            ASSERT_NO_THROW(fifo.verify()) << "seed " << seed << " step " << step;
+        }
+        EXPECT_GT(inserts, 100u) << "seed " << seed;
+    }
+}
+
+// ---------- job window ----------
+
+struct Rec {
+    std::uint64_t key = 0;
+    int payload = 0;
+    bool ended = false;
+};
+using RecWindow = JobWindow<Rec, &Rec::key>;
+
+bool rec_ended(const Rec& rec) { return rec.ended; }
+
+/// Mark the record ended and retire it, as a scheduler's finish does.
+void finish(RecWindow& window, std::uint64_t key) {
+    window.find(key)->ended = true;
+    window.retire(key);
+}
+
+std::vector<std::uint64_t> window_keys(const RecWindow& window) {
+    std::vector<std::uint64_t> out;
+    window.for_each([&out](const Rec& r) { out.push_back(r.key); });
+    return out;
+}
+
+TEST(JobWindow, PushFindRetireAndPurge) {
+    RecWindow window(100, /*retention=*/1);
+    EXPECT_EQ(window.next_key(), 100u);
+    for (std::uint64_t k = 100; k < 105; ++k)
+        window.push(std::make_unique<Rec>(Rec{k, static_cast<int>(k)}));
+    EXPECT_THROW(window.push(std::make_unique<Rec>(Rec{107, 0})), PreconditionError);
+    EXPECT_EQ(window.next_key() - window.base(), 5u);
+    EXPECT_EQ(window.find(102)->payload, 102);
+    EXPECT_EQ(window.find(99), nullptr);   // below the base
+    EXPECT_EQ(window.find(105), nullptr);  // never issued
+    EXPECT_EQ(window.find(0), nullptr);
+
+    finish(window, 101);
+    finish(window, 100);
+    finish(window, 103);
+    EXPECT_EQ(window.purge(), 2u);  // 101 and 100 go, 103 stays retained
+    EXPECT_EQ(window.find(100), nullptr);
+    EXPECT_EQ(window.find(101), nullptr);
+    EXPECT_EQ(window.base(), 102u);  // the two front holes were popped
+    EXPECT_EQ(window.next_key() - window.base(), 3u);
+    EXPECT_EQ(window_keys(window), (std::vector<std::uint64_t>{102, 103, 104}));
+    EXPECT_NO_THROW(window.verify(rec_ended));
+
+    window.retire(104);  // not marked ended: verify() objects
+    EXPECT_THROW(window.verify(rec_ended), InvariantError);
+    window.find(104)->ended = true;
+    EXPECT_EQ(window.purge(), 1u);  // 103: a hole behind the live front
+    EXPECT_EQ(window.base(), 102u);
+    EXPECT_EQ(window.find(103), nullptr);
+    EXPECT_EQ(window_keys(window), (std::vector<std::uint64_t>{102, 104}));
+    EXPECT_NO_THROW(window.verify(rec_ended));
+
+    // Retention 0 keeps everything: nothing is even queued for purging.
+    RecWindow keep_all(1, /*retention=*/0);
+    keep_all.push(std::make_unique<Rec>(Rec{1, 0}));
+    finish(keep_all, 1);
+    EXPECT_EQ(keep_all.purge(), 0u);
+    EXPECT_NE(keep_all.find(1), nullptr);
+    EXPECT_TRUE(keep_all.save().retired.empty());
+}
+
+TEST(JobWindow, RestoreRebuildsTheWindowAndChecksItsRange) {
+    RecWindow window(1, /*retention=*/1);
+    for (std::uint64_t k = 1; k <= 4; ++k) window.push(std::make_unique<Rec>(Rec{k, 0}));
+    finish(window, 1);
+    finish(window, 3);
+    (void)window.purge();  // 1 purged, 3 retained
+    RecWindow copy(1, /*retention=*/1);
+    copy.restore(window.save());
+    EXPECT_EQ(copy.base(), 2u);
+    EXPECT_EQ(copy.next_key(), 5u);
+    EXPECT_EQ(window_keys(copy), (std::vector<std::uint64_t>{2, 3, 4}));
+    EXPECT_EQ(copy.save().retired, window.save().retired);
+    EXPECT_NO_THROW(copy.verify(rec_ended));
+
+    EXPECT_THROW(copy.restore({5, 4, {}, {}}), InvariantError);           // inverted window
+    EXPECT_THROW(copy.restore({2, 5, {Rec{5, 0}}, {}}), InvariantError);  // job past it
+    EXPECT_THROW(copy.restore({2, 5, {Rec{1, 0}}, {}}), InvariantError);  // job below it
+    copy.restore({2, 5, {Rec{3, 0}}, {}});  // front slot 2 is a hole: verify() objects
+    EXPECT_THROW(copy.verify(rec_ended), InvariantError);
+}
+
+TEST(JobWindow, RandomStreamsMatchMapOracle) {
+    for (const std::size_t retention : {0u, 1u, 7u, 64u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            Rng rng(seed * 100 + retention);
+            const std::uint64_t first = 1 + seed;
+            RecWindow window(first, retention);
+            std::map<std::uint64_t, int> oracle;  // unpurged records
+            std::vector<std::uint64_t> live;      // not yet retired
+            std::deque<std::uint64_t> retired;
+            std::uint64_t next = first;
+            std::uint64_t purged = 0;
+            for (int step = 0; step < 3000; ++step) {
+                if (live.empty() || rng.chance(0.52)) {
+                    const int payload = static_cast<int>(rng.uniform_int(0, 1'000'000));
+                    window.push(std::make_unique<Rec>(Rec{next, payload}));
+                    oracle[next] = payload;
+                    live.push_back(next++);
+                } else {
+                    // Finish a random live record; old ones linger now and then.
+                    const auto i = static_cast<std::size_t>(
+                        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+                    const std::uint64_t key = live[i];
+                    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+                    finish(window, key);
+                    if (retention > 0) retired.push_back(key);
+                    std::size_t dropped = 0;
+                    while (retired.size() > retention) {
+                        oracle.erase(retired.front());
+                        retired.pop_front();
+                        ++dropped;
+                    }
+                    ASSERT_EQ(window.purge(), dropped);
+                    purged += dropped;
+                }
+                const std::uint64_t base = oracle.empty() ? next : oracle.begin()->first;
+                ASSERT_EQ(window.base(), base) << "retention " << retention << " seed " << seed
+                                               << " step " << step;
+                ASSERT_EQ(window.next_key(), next);
+                ASSERT_EQ(window.save().retired, retired);
+                for (const std::uint64_t key :
+                     {base - 1, base, next - 1, next, next + 1,
+                      static_cast<std::uint64_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(next) + 5))}) {
+                    const auto it = oracle.find(key);
+                    const Rec* rec = window.find(key);
+                    ASSERT_EQ(rec != nullptr, it != oracle.end()) << "key " << key;
+                    if (rec != nullptr) {
+                        ASSERT_EQ(rec->payload, it->second);
+                    }
+                }
+                ASSERT_NO_THROW(window.verify(rec_ended));
+            }
+            std::vector<std::uint64_t> keys;
+            for (const auto& [key, payload] : oracle) keys.push_back(key);
+            EXPECT_EQ(window_keys(window), keys);
+            if (retention > 0) {
+                EXPECT_GT(purged, 500u) << "retention " << retention;
+            }
+        }
     }
 }
 
