@@ -72,7 +72,7 @@ Status SwitchController::submit_one(const SwitchDecision& decision, const Switch
         // Donor is the Linux side: qsub the Fig 4 script through the real
         // text path.
         auto behavior =
-            make_pbs_switch_behavior(engine_, cluster_, decision.target, action, log_);
+            make_pbs_switch_behavior(engine_, cluster_, pbs_, decision.target, action, log_);
         auto id =
             pbs_.qsub(fig4_switch_script_text(decision.target), "sliang", std::move(behavior));
         if (!id.ok()) {

@@ -90,18 +90,19 @@ void run_switch_on_node(sim::Engine& engine, Cluster& cluster, int node_index, O
 
 }  // namespace
 
-pbs::JobBehavior make_pbs_switch_behavior(sim::Engine& engine, Cluster& cluster, OsType target,
+pbs::JobBehavior make_pbs_switch_behavior(sim::Engine& engine, Cluster& cluster,
+                                          const pbs::PbsServer& server, OsType target,
                                           SwitchAction action, RebootLog* log) {
     pbs::JobBehavior behavior;
     // Long nominal runtime: the reboot is supposed to kill the job (the
     // `sleep 10` trick). If the reboot never happens the job times out at
     // this runtime instead of wedging the node forever.
     behavior.run_time = sim::minutes(10);
-    behavior.on_start = [&engine, &cluster, target, action = std::move(action), log](
+    behavior.on_start = [&engine, &cluster, &server, target, action = std::move(action), log](
                             pbs::Job& job) {
-        util::require(!job.exec_node_indices.empty(),
+        util::require(!job.exec_records.span().empty(),
                       "switch job started without an allocation");
-        run_switch_on_node(engine, cluster, job.exec_node_indices.front(), target, action, log,
+        run_switch_on_node(engine, cluster, server.exec_node_index(job, 0), target, action, log,
                            job.id);
     };
     return behavior;

@@ -18,8 +18,8 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/os.hpp"
-#include "pbs/job.hpp"
 #include "pbs/job_script.hpp"
+#include "pbs/server.hpp"
 #include "winhpc/scheduler.hpp"
 
 namespace hc::core {
@@ -67,10 +67,12 @@ inline constexpr double kSwitchRebootDelayS = 3.0;  ///< `sudo reboot` issued
 inline constexpr double kSwitchSleepS = 10.0;       ///< trailing `sleep 10`
 
 /// Build the PBS JobBehavior realising the script's effects on the node the
-/// scheduler picked. The behaviour intentionally outlives the reboot — the
+/// scheduler picked (`server` is the one the job is submitted to; it names
+/// the job's node). The behaviour intentionally outlives the reboot — the
 /// reboot kills the job, exactly like `sleep 10` in the real script.
 [[nodiscard]] pbs::JobBehavior make_pbs_switch_behavior(sim::Engine& engine,
                                                         cluster::Cluster& cluster,
+                                                        const pbs::PbsServer& server,
                                                         cluster::OsType target,
                                                         SwitchAction action, RebootLog* log);
 

@@ -56,8 +56,8 @@ const std::string* AccountingRecord::find(const std::string& key) const {
     return nullptr;
 }
 
-std::string AccountingLog::format_record(PbsServer::JobEvent event, const Job& job,
-                                         std::int64_t now_unix) {
+std::string AccountingLog::format_record(const PbsServer& server, PbsServer::JobEvent event,
+                                         const Job& job, std::int64_t now_unix) {
     std::string line = accounting_timestamp(now_unix);
     line += ';';
     line += event_code(event);
@@ -75,7 +75,8 @@ std::string AccountingLog::format_record(PbsServer::JobEvent event, const Job& j
             break;
         case PbsServer::JobEvent::kStarted:
             line += " start=" + std::to_string(job.stime_unix);
-            line += " exec_host=" + job.exec_host_string();
+            line += " exec_host=";
+            server.append_exec_host(job, line);
             line += " Resource_List.nodes=" + job.resources.nodes_spec();
             break;
         case PbsServer::JobEvent::kEnded:
@@ -102,7 +103,7 @@ std::string AccountingLog::format_record(PbsServer::JobEvent event, const Job& j
 
 void AccountingLog::attach(PbsServer& server) {
     server.on_job_event([this, &server](PbsServer::JobEvent event, const Job& job) {
-        text_ += format_record(event, job, server.engine().unix_now());
+        text_ += format_record(server, event, job, server.engine().unix_now());
         text_ += '\n';
         ++lines_;
     });

@@ -54,8 +54,10 @@ public:
     [[nodiscard]] const std::string& text() const { return text_; }
     [[nodiscard]] std::size_t line_count() const { return lines_; }
 
-    /// Format one record line (exposed for tests).
-    [[nodiscard]] static std::string format_record(PbsServer::JobEvent event, const Job& job,
+    /// Format one record line (exposed for tests). The server renders the
+    /// `S` record's exec_host.
+    [[nodiscard]] static std::string format_record(const PbsServer& server,
+                                                   PbsServer::JobEvent event, const Job& job,
                                                    std::int64_t now_unix);
 
 private:

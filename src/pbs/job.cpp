@@ -1,7 +1,5 @@
 #include "pbs/job.hpp"
 
-#include "util/strings.hpp"
-
 namespace hc::pbs {
 
 char job_state_char(JobState s) {
@@ -24,21 +22,6 @@ const char* completion_kind_name(CompletionKind k) {
         case CompletionKind::kWalltime: return "walltime";
     }
     return "?";
-}
-
-void Job::append_exec_host(std::string& out) const {
-    for (std::size_t i = 0; i < exec_slots.size(); ++i) {
-        if (i > 0) out += '+';
-        out += *exec_slots[i].host;
-        out += '/';
-        util::append_int(out, exec_slots[i].cpu);
-    }
-}
-
-std::string Job::exec_host_string() const {
-    std::string out;
-    append_exec_host(out);
-    return out;
 }
 
 std::int64_t Job::wait_seconds(std::int64_t now_unix) const {

@@ -1,12 +1,15 @@
 // PBS job records: one per submitted job, holding what `qstat -f` prints
 // (Fig 8) plus the server's bookkeeping. A record carries no copy of
 // anything constant across jobs: the server name and the Variable_List are
-// rendered from the server's config and the owner, and an exec slot points
-// at its node's hostname instead of copying it.
+// rendered from the server's config and the owner. A running job keeps only
+// the node records it holds; which CPUs it owns there lives in the server's
+// owner array, and exec_host is derived from both at render time
+// (PbsServer::append_exec_host).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,12 +31,34 @@ enum class JobState {
 
 [[nodiscard]] char job_state_char(JobState s);
 
-/// One "host/cpu" element of an exec_host string ("node16.../3"). `host`
-/// points at the node's own hostname: nodes outlive every job placed on
-/// them, and a snapshot is only restored into the world that took it.
-struct ExecSlot {
-    const std::string* host = nullptr;
-    int cpu = 0;
+/// The server node records a running job holds, in placement order; the
+/// job owns `resources.ppn` CPUs on each. One record is kept inline, so a
+/// single-node job allocates nothing for its placement and a multi-node job
+/// allocates at most once (a requeued one reuses the capacity). Callers see
+/// only span(), never which of the two forms holds the list.
+class RecordList {
+public:
+    void assign(std::span<const int> records) {
+        spill_.clear();
+        if (records.size() == 1) {
+            first_ = records[0];
+        } else {
+            first_ = -1;
+            spill_.assign(records.begin(), records.end());
+        }
+    }
+    void clear() {
+        first_ = -1;
+        spill_.clear();
+    }
+    [[nodiscard]] std::span<const int> span() const {
+        if (first_ >= 0) return {&first_, 1};
+        return spill_;
+    }
+
+private:
+    int first_ = -1;          ///< the record when there is exactly one
+    std::vector<int> spill_;  ///< the records when there are two or more
 };
 
 /// How a job behaves once it runs. Real PBS executes a shell script; the
@@ -58,48 +83,46 @@ enum class CompletionKind {
 [[nodiscard]] const char* completion_kind_name(CompletionKind k);
 
 struct Job {
-    std::string id;         ///< "1185.eridani.qgg.hud.ac.uk"
+    // What the scheduler and the completion path read comes first (through
+    // resources.ppn, about the first 112 bytes), so starting or finishing a
+    // job reads one short run at the front of the record; the strings only
+    // the text layer reads follow.
     std::uint64_t seq = 0;  ///< numeric part of the id
-    std::string name;
-    std::string owner;      ///< "sliang@eridani.qgg.hud.ac.uk"
     JobState state = JobState::kQueued;
-    std::string queue;
-    ResourceList resources;
+    CompletionKind completion = CompletionKind::kNone;
     bool rerunnable = true;
     bool join_oe = false;
     /// Set when this job's qstat -f stanza needs re-rendering; cleared by
-    /// the text layer once the chunk is patched. (Beside the other flags,
-    /// where it takes no room of its own.)
+    /// the text layer once the chunk is patched.
     bool text_dirty = false;
-    std::string output_path;
+    int requeue_count = 0;
     int priority = 0;
 
-    std::int64_t qtime_unix = 0;   ///< submission time
-    std::int64_t stime_unix = 0;   ///< start time (0 = never started)
-    std::int64_t etime_unix = 0;   ///< end time (0 = not ended)
-
-    std::vector<ExecSlot> exec_slots;     ///< filled while running
-    std::vector<int> exec_node_indices;   ///< cluster node indices allocated
-    std::vector<int> exec_record_indices; ///< server NodeRecord indices (release fast path)
-    CompletionKind completion = CompletionKind::kNone;
-    int requeue_count = 0;
+    RecordList exec_records;  ///< node records held while running (empty otherwise)
 
     // Pending timers of the current run. Cancelling an id whose event has
     // already fired is a no-op, so they need no clearing when they fire.
     sim::EventId completion_event;
     sim::EventId walltime_event;  ///< valid only when walltime < run time
 
-    JobBehavior behavior;
-
     // Links in the server's eligible-to-run list (seq order, kQueued only);
     // held, deleted and started jobs are unlinked eagerly, so a scheduler
     // pass walks only jobs it could actually start.
     util::FifoHook<Job> queue_link;
 
-    /// "node16.../3+node16.../2+..." as qstat -f prints it (Fig 8).
-    [[nodiscard]] std::string exec_host_string() const;
-    /// exec_host_string() appended to `out`.
-    void append_exec_host(std::string& out) const;
+    ResourceList resources;
+
+    std::int64_t qtime_unix = 0;   ///< submission time
+    std::int64_t stime_unix = 0;   ///< start time (0 = never started)
+    std::int64_t etime_unix = 0;   ///< end time (0 = not ended)
+
+    std::string id;         ///< "1185.eridani.qgg.hud.ac.uk"
+    std::string name;
+    std::string owner;      ///< "sliang@eridani.qgg.hud.ac.uk"
+    std::string queue;
+    std::string output_path;
+
+    JobBehavior behavior;
 
     /// Time spent waiting in the queue (so far, or total if started).
     [[nodiscard]] std::int64_t wait_seconds(std::int64_t now_unix) const;

@@ -72,9 +72,12 @@ void PbsServer::attach_node(Node& node) {
     const std::size_t idx = nodes_.size();
     NodeRecord rec;
     rec.node = &node;
-    rec.cpu_owner.assign(static_cast<std::size_t>(node.np()), 0);
-    rec.free_count = node.np();
-    if (fit_.size() < rec.cpu_owner.size()) fit_.resize(rec.cpu_owner.size());
+    rec.np = node.np();
+    rec.cpu_begin = cpu_owner_.size();
+    cpu_owner_.resize(cpu_owner_.size() + static_cast<std::size_t>(rec.np), 0);
+    rec.free_count = rec.np;
+    if (fit_.size() < static_cast<std::size_t>(rec.np))
+        fit_.resize(static_cast<std::size_t>(rec.np));
     rec.idle_since_unix = engine_.unix_now();
     nodes_.push_back(std::move(rec));
     node_index_[&node] = idx;
@@ -122,8 +125,7 @@ void PbsServer::update_node_sets(std::size_t idx) {
 void PbsServer::adjust_free(std::size_t idx, int delta) {
     NodeRecord& rec = nodes_[idx];
     rec.free_count += delta;
-    util::ensure(rec.free_count >= 0 &&
-                     rec.free_count <= static_cast<int>(rec.cpu_owner.size()),
+    util::ensure(rec.free_count >= 0 && rec.free_count <= rec.np,
                  "PbsServer::adjust_free: free count out of range");
     if (rec.in_free_agg) free_cpu_agg_ += delta;
     update_node_sets(idx);
@@ -144,18 +146,23 @@ void PbsServer::set_schedulable(std::size_t idx, bool schedulable) {
 void PbsServer::verify_incremental_state() const {
     int agg = 0;
     int total = 0;
+    int used = 0;
     std::string fresh;  // a stanza rendered from primary state
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeRecord& rec = nodes_[i];
-        const int free = static_cast<int>(
-            std::count(rec.cpu_owner.begin(), rec.cpu_owner.end(), std::uint64_t{0}));
+        util::ensure(rec.cpu_begin == static_cast<std::size_t>(total) && rec.np == rec.node->np(),
+                     "consistency: record's owner slots are not its own");
+        const auto owners = cpu_owners(rec);
+        const int free =
+            static_cast<int>(std::count(owners.begin(), owners.end(), std::uint64_t{0}));
         util::ensure(free == rec.free_count,
-                     "consistency: cached free count diverged from cpu_owner");
+                     "consistency: cached free count diverged from the owner slots");
         const bool should_count = rec.reachable() && !rec.offline;
         util::ensure(rec.in_free_agg == should_count,
                      "consistency: in_free_agg diverged from node state");
         if (should_count) agg += free;
-        total += static_cast<int>(rec.cpu_owner.size());
+        total += rec.np;
+        used += rec.np - free;
         // Index maps point back at this record.
         auto pit = node_index_.find(rec.node);
         util::ensure(pit != node_index_.end() && pit->second == i,
@@ -187,15 +194,52 @@ void PbsServer::verify_incremental_state() const {
                      "consistency: fit index holds a stale record");
     util::ensure(idle_.next(nodes_.size()) == util::IndexBitset::npos,
                  "consistency: idle set holds a stale record");
-    util::ensure(total == total_cpus_, "consistency: total-CPU count diverged");
+    util::ensure(total == total_cpus_ && cpu_owner_.size() == static_cast<std::size_t>(total),
+                 "consistency: total-CPU count diverged");
 
     // Beyond their own checks: retired jobs are completed, queued ones linked.
     jobs_.verify([](const Job& job) { return job.state == JobState::kCompleted; });
     eligible_.verify();
     std::size_t queued = 0;
+    int held_by_running = 0;
+    std::string reference;  // exec_host rebuilt bottom-up, then reversed per record
     jobs_.for_each([&](const Job& job) {
         util::ensure(EligibleQueue::linked(job) == (job.state == JobState::kQueued),
                      "consistency: eligible-list membership diverged from job state");
+        // Placement: a running job holds `nodes` distinct records and exactly
+        // ppn CPUs on each; any other job holds none.
+        const auto records = job.exec_records.span();
+        const bool runs = job.state == JobState::kRunning || job.state == JobState::kExiting;
+        if (!runs) {
+            util::ensure(records.empty(), "consistency: a job that is not running holds records");
+        } else {
+            util::ensure(static_cast<int>(records.size()) == job.resources.nodes,
+                         "consistency: a running job holds the wrong number of records");
+            reference.clear();
+            for (const int r : records) {
+                util::ensure(r >= 0 && static_cast<std::size_t>(r) < nodes_.size() &&
+                                 std::count(records.begin(), records.end(), r) == 1,
+                             "consistency: a running job's records are not distinct records");
+                const NodeRecord& rec = nodes_[static_cast<std::size_t>(r)];
+                const auto owners = cpu_owners(rec);
+                std::vector<int> mine;
+                for (std::size_t cpu = 0; cpu < owners.size(); ++cpu)
+                    if (owners[cpu] == job.seq) mine.push_back(static_cast<int>(cpu));
+                util::ensure(static_cast<int>(mine.size()) == job.resources.ppn,
+                             "consistency: a running job does not own ppn CPUs on its record");
+                for (auto cpu = mine.rbegin(); cpu != mine.rend(); ++cpu) {
+                    if (!reference.empty()) reference += '+';
+                    reference += rec.node->hostname();
+                    reference += '/';
+                    util::append_int(reference, *cpu);
+                }
+            }
+            held_by_running += job.resources.total_cpus();
+            fresh.clear();
+            append_exec_host(job, fresh);
+            util::ensure(fresh == reference,
+                         "consistency: exec_host is not the job's CPUs, highest first per record");
+        }
         if (job.state == JobState::kCompleted) return;
         if (job.state == JobState::kQueued) ++queued;
         if (!job.text_dirty) {
@@ -208,6 +252,10 @@ void PbsServer::verify_incremental_state() const {
     });
     util::ensure(queued == eligible_.size(),
                  "consistency: a queued job is missing from the eligible list");
+    // Each running job owns exactly its nodes x ppn slots on its records
+    // (above), so equal totals leave no slot owned by anything else.
+    util::ensure(used == held_by_running,
+                 "consistency: a CPU slot is owned outside the running jobs' placements");
 }
 
 void PbsServer::append_job_id(std::string& out, std::uint64_t seq) const {
@@ -411,15 +459,16 @@ bool PbsServer::try_place(const Job& job) {
 
 std::optional<std::vector<int>> PbsServer::try_place_bruteforce(const Job& job) const {
     // The pre-optimization placement logic, kept as the reference for the
-    // consistency-check hook: recounts cpu_owner instead of trusting the
+    // consistency-check hook: recounts the owner slots instead of trusting the
     // cached free counts. Must stay byte-for-byte equivalent in outcome.
     std::vector<int> chosen;
     for (std::size_t i = 0; i < nodes_.size() && static_cast<int>(chosen.size()) < job.resources.nodes;
          ++i) {
         const NodeRecord& rec = nodes_[i];
         if (rec.offline || !rec.reachable()) continue;
-        const int free = static_cast<int>(
-            std::count(rec.cpu_owner.begin(), rec.cpu_owner.end(), std::uint64_t{0}));
+        const auto owners = cpu_owners(rec);
+        const int free =
+            static_cast<int>(std::count(owners.begin(), owners.end(), std::uint64_t{0}));
         if (free == 0) continue;  // kJobExclusive, not kFree
         if (free < job.resources.ppn) continue;
         if (!rec.has_properties(job.resources.properties)) continue;
@@ -472,7 +521,7 @@ void PbsServer::schedule_cycle() {
             // via the unlink epoch and restart the pass from the new head.
             const std::uint64_t unlinks_before = eligible_.unlinks();
             eligible_.unlink(*job);
-            start_job(*job, placement_);
+            start_job(*job);
             if (eligible_.unlinks() != unlinks_before + 1) {
                 cycle_again_ = true;
                 break;
@@ -484,38 +533,31 @@ void PbsServer::schedule_cycle() {
 
 void PbsServer::request_cycle() { schedule_cycle(); }
 
-void PbsServer::start_job(Job& job, const std::vector<int>& record_indices) {
+void PbsServer::start_job(Job& job) {
     job.state = JobState::kRunning;
     job.stime_unix = engine_.unix_now();
-    job.exec_slots.clear();
-    job.exec_node_indices.clear();
-    job.exec_record_indices.clear();
-    job.exec_slots.reserve(record_indices.size() *
-                           static_cast<std::size_t>(job.resources.ppn));
-    job.exec_node_indices.reserve(record_indices.size());
-    job.exec_record_indices.reserve(record_indices.size());
-    for (int idx : record_indices) {
-        NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
+    for (int idx : placement_) {
+        const NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
         // TORQUE hands out cpu indices descending (Fig 8: .../3+.../2+...).
+        std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
         int assigned = 0;
-        for (int cpu = static_cast<int>(rec.cpu_owner.size()) - 1;
-             cpu >= 0 && assigned < job.resources.ppn; --cpu) {
-            if (rec.cpu_owner[static_cast<std::size_t>(cpu)] != 0) continue;
-            rec.cpu_owner[static_cast<std::size_t>(cpu)] = job.seq;
-            job.exec_slots.push_back(ExecSlot{&rec.node->hostname(), cpu});
+        for (int cpu = rec.np - 1; cpu >= 0 && assigned < job.resources.ppn; --cpu) {
+            if (owner[cpu] != 0) continue;
+            owner[cpu] = job.seq;
             ++assigned;
         }
         util::ensure(assigned == job.resources.ppn, "start_job: placement raced allocation");
         adjust_free(static_cast<std::size_t>(idx), -assigned);
-        job.exec_node_indices.push_back(rec.node->index());
-        job.exec_record_indices.push_back(idx);
     }
+    job.exec_records.assign(placement_);
     ++stats_.started;
     touch_job(job);
     mark_mutation();
-    if (engine_.logger().enabled(util::LogLevel::kDebug))
-        engine_.logger().debug("pbs/" + config_.server_name,
-                               "run " + job.id + " on " + job.exec_host_string());
+    if (engine_.logger().enabled(util::LogLevel::kDebug)) {
+        std::string line = "run " + job.id + " on ";
+        append_exec_host(job, line);
+        engine_.logger().debug("pbs/" + config_.server_name, line);
+    }
     emit_event(JobEvent::kStarted, job);
 
     if (job.behavior.on_start) job.behavior.on_start(job);
@@ -544,25 +586,41 @@ void PbsServer::cancel_timers(Job& job) {
     engine_.cancel(std::exchange(job.walltime_event, {}));
 }
 
+void PbsServer::append_exec_host(const Job& job, std::string& out) const {
+    bool first = true;
+    for (const int idx : job.exec_records.span()) {
+        const NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
+        const std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
+        for (int cpu = rec.np - 1; cpu >= 0; --cpu) {
+            if (owner[cpu] != job.seq) continue;
+            if (!first) out += '+';
+            first = false;
+            out += rec.node->hostname();
+            out += '/';
+            util::append_int(out, cpu);
+        }
+    }
+}
+
 void PbsServer::release_allocation(Job& job) {
-    // O(allocated): only the records the job actually ran on are touched,
-    // instead of rescanning every cpu_owner vector in the cluster.
-    for (int idx : job.exec_record_indices) {
+    // O(allocated): only the records the job holds are touched, each from
+    // the top down (where start_job put the job's CPUs) until its ppn CPUs
+    // are free.
+    for (const int idx : job.exec_records.span()) {
         NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
+        std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
         int freed = 0;
-        for (auto& owner : rec.cpu_owner) {
-            if (owner == job.seq) {
-                owner = 0;
-                ++freed;
-            }
+        for (int cpu = rec.np - 1; cpu >= 0 && freed < job.resources.ppn; --cpu) {
+            if (owner[cpu] != job.seq) continue;
+            owner[cpu] = 0;
+            ++freed;
         }
         if (freed > 0) {
             if (rec.used_cpus() == freed) rec.idle_since_unix = engine_.unix_now();
             adjust_free(static_cast<std::size_t>(idx), freed);
         }
     }
-    job.exec_slots.clear();
-    job.exec_record_indices.clear();
+    job.exec_records.clear();
 }
 
 void PbsServer::finish_job(Job& job, CompletionKind kind) {
@@ -620,14 +678,13 @@ void PbsServer::handle_node_up(Node& node, OsType os) {
 void PbsServer::handle_node_down(Node& node) {
     const std::size_t idx = record_index_for(node);
     util::ensure(idx != static_cast<std::size_t>(-1), "handle_node_down: unknown node");
-    NodeRecord* rec = &nodes_[idx];
     // Drop the node from the free-CPU aggregate *before* releasing victim
     // allocations, so the frees below don't count toward schedulable CPUs.
     set_schedulable(idx, false);
     mark_mutation();
     // Abort or requeue every job with an allocation on this node.
     std::vector<std::uint64_t> victims;
-    for (const std::uint64_t owner : rec->cpu_owner)
+    for (const std::uint64_t owner : cpu_owners(nodes_[idx]))
         if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
     for (const std::uint64_t seq : victims) {
@@ -641,7 +698,6 @@ void PbsServer::handle_node_down(Node& node) {
             release_allocation(*job);
             job->state = JobState::kQueued;
             job->stime_unix = 0;
-            job->exec_node_indices.clear();
             ++job->requeue_count;
             ++stats_.requeued;
             // Reinsert preserving seq (arrival) order among queued jobs.
@@ -662,6 +718,7 @@ PbsServer::SavedState PbsServer::save_state() const {
     SavedState s;
     s.table = jobs_.save();
     s.nodes = nodes_;
+    s.cpu_owner = cpu_owner_;
     s.eligible_order = eligible_.keys();
     s.stats = stats_;
     s.version = version_;
@@ -681,6 +738,7 @@ PbsServer::SavedState PbsServer::save_state() const {
 void PbsServer::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "PbsServer::restore_state: cannot restore mid-cycle");
     nodes_ = s.nodes;
+    cpu_owner_ = s.cpu_owner;
     jobs_.restore(s.table);
     eligible_.relink(s.eligible_order, [this](std::uint64_t seq) { return jobs_.find(seq); });
     in_cycle_ = false;

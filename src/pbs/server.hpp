@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,33 +48,33 @@ enum class NodeState {
 
 [[nodiscard]] const char* node_state_name(NodeState s);
 
-/// Per-node bookkeeping.
+/// Per-node bookkeeping. The record's CPU owners are the `np` slots of the
+/// server's one owner array starting at `cpu_begin` (PbsServer::cpu_owners).
 struct NodeRecord {
     cluster::Node* node = nullptr;
-    bool offline = false;        ///< admin flag (pbsnodes -o)
-    std::vector<std::uint64_t> cpu_owner;  ///< owning Job::seq per cpu slot (0 = free)
-    std::int64_t idle_since_unix = 0;
-    std::vector<std::string> properties{"all"};
+    std::size_t cpu_begin = 0;  ///< first slot in the server's owner array
+    int np = 0;                 ///< CPU slots, the node's np
 
     // Incrementally maintained by the server (allocate/release/up/down), so
-    // free_cpus() and the placement scan never re-count cpu_owner.
-    int free_count = 0;       ///< cached number of empty cpu_owner slots
-    bool in_free_agg = false; ///< contributing to the server's free-CPU total
+    // free_cpus() and the placement scan never re-count the owner slots.
+    int free_count = 0;       ///< cached number of empty owner slots
     /// Number of fit-index levels holding this record: free_count while
     /// schedulable, else 0. The record is in fit level p for p <= fit_level.
     int fit_level = 0;
+    bool in_free_agg = false;  ///< contributing to the server's free-CPU total
+    bool offline = false;      ///< admin flag (pbsnodes -o)
+    bool text_dirty = false;   ///< stanza needs re-rendering
 
+    std::int64_t idle_since_unix = 0;
     /// Sim time of this node's last status report (the mom heartbeat the
     /// stanza's rectime/idletime/netload fields embed). Refreshed whenever
     /// the node's visible state changes, so a stanza is a pure function of
     /// the record — the precondition for incremental re-rendering.
     std::int64_t last_report_unix = 0;
-    bool text_dirty = false;  ///< stanza needs re-rendering
+    std::vector<std::string> properties{"all"};
 
     [[nodiscard]] int free_cpus() const { return free_count; }
-    [[nodiscard]] int used_cpus() const {
-        return static_cast<int>(cpu_owner.size()) - free_count;
-    }
+    [[nodiscard]] int used_cpus() const { return np - free_count; }
     [[nodiscard]] bool reachable() const;  ///< node up and running Linux
     [[nodiscard]] NodeState state() const;
     [[nodiscard]] bool has_properties(const std::vector<std::string>& required) const;
@@ -104,7 +105,7 @@ struct PbsServerConfig {
     bool strict_fifo = true;       ///< pure FCFS: blocked head blocks the queue
     bool enforce_walltime = true;
     /// Ids start near the paper's listings. Must be > 0: seq 0 marks a free
-    /// cpu slot in NodeRecord::cpu_owner.
+    /// cpu slot in the server's owner array.
     std::uint64_t first_job_seq = 1185;
     /// Completed-job records retained before the oldest are purged (0 = keep
     /// everything, the TORQUE-ish default); million-job arrival streams set
@@ -170,6 +171,19 @@ public:
     [[nodiscard]] std::vector<const Job*> all_jobs() const;
 
     [[nodiscard]] const std::vector<NodeRecord>& node_records() const { return nodes_; }
+    /// The owning Job::seq of each of the record's CPU slots (0 = free).
+    [[nodiscard]] std::span<const std::uint64_t> cpu_owners(const NodeRecord& rec) const {
+        return {cpu_owner_.data() + rec.cpu_begin, static_cast<std::size_t>(rec.np)};
+    }
+    /// Append the job's exec_host, "host/3+host/2+..." as qstat -f prints it
+    /// (Fig 8): for each record it holds, in placement order, the CPUs it
+    /// owns there from the top down, the order start_job hands them out.
+    /// Empty unless the job holds an allocation.
+    void append_exec_host(const Job& job, std::string& out) const;
+    /// Cluster node index of the job's i-th placement record.
+    [[nodiscard]] int exec_node_index(const Job& job, std::size_t i) const {
+        return nodes_[static_cast<std::size_t>(job.exec_records.span()[i])].node->index();
+    }
     [[nodiscard]] int total_cpus() const { return total_cpus_; }
     /// Free CPUs across schedulable (up, Linux, not offline) nodes. O(1):
     /// maintained incrementally on allocate/release and node transitions.
@@ -243,8 +257,9 @@ public:
 private:
     /// Append the id this server gives job `seq` ("<seq>.<server_name>").
     void append_job_id(std::string& out, std::uint64_t seq) const;
-    /// Allocate `record_indices` (a try_place result) to `job` and run it.
-    void start_job(Job& job, const std::vector<int>& record_indices);
+    /// Allocate the records in placement_ (a try_place result) to `job` and
+    /// run it.
+    void start_job(Job& job);
     void finish_job(Job& job, CompletionKind kind);
     void release_allocation(Job& job);
     /// Cancel and forget the job's pending completion/walltime events.
@@ -289,6 +304,9 @@ private:
     sim::Engine& engine_;
     PbsServerConfig config_;
     std::vector<NodeRecord> nodes_;
+    /// Owning Job::seq of every CPU slot (0 = free); record r owns the
+    /// nodes_[r].np slots from nodes_[r].cpu_begin.
+    std::vector<std::uint64_t> cpu_owner_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
     std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
     using JobTable = util::JobWindow<Job, &Job::seq>;
@@ -344,19 +362,20 @@ public:
     /// World-snapshot hook (DESIGN.md "Snapshot / fork"). Captures every
     /// mutable field — the job table (its seq window, retention queue and
     /// deep copies of the unpurged records, which carry their pending
-    /// completion/walltime EventIds but no queue links), the eligible-queue
-    /// order, node records, index sets, the
-    /// incremental text documents and their dirty lists — so a restore
-    /// resumes byte-identically, including the qstat/pbsnodes document
-    /// versions the detector streams against. Node/name indices and
-    /// subscribers are construction wiring and are left untouched; records
-    /// point into the nodes (NodeRecord::node, ExecSlot::host), so a
+    /// completion/walltime EventIds and placement record indices but no
+    /// queue links), the eligible-queue order, node records, the CPU owner
+    /// array, index sets, the incremental text documents and their dirty
+    /// lists — so a restore resumes byte-identically, including the
+    /// qstat/pbsnodes document versions the detector streams against.
+    /// Node/name indices and subscribers are construction wiring and are left
+    /// untouched; node records point into the nodes (NodeRecord::node), so a
     /// snapshot is restored only into the world that took it. Must be
     /// taken/restored outside a scheduler cycle, paired with an
     /// Engine::restore() of the calendar the EventIds point into.
     struct SavedState {
         JobTable::Saved table;  ///< seqs [base, next), unpurged records in seq order
         std::vector<NodeRecord> nodes;
+        std::vector<std::uint64_t> cpu_owner;
         std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
         ServerStats stats;
         std::uint64_t version = 0;

@@ -92,13 +92,14 @@ void PbsServer::render_node_stanza(const NodeRecord& rec, std::string& out) cons
     if (rec.used_cpus() > 0) {
         out += "     jobs = ";
         bool first = true;
-        for (std::size_t cpu = 0; cpu < rec.cpu_owner.size(); ++cpu) {
-            if (rec.cpu_owner[cpu] == 0) continue;
+        const auto owners = cpu_owners(rec);
+        for (std::size_t cpu = 0; cpu < owners.size(); ++cpu) {
+            if (owners[cpu] == 0) continue;
             if (!first) out += ", ";
             first = false;
             util::append_int(out, cpu);
             out += '/';
-            append_job_id(out, rec.cpu_owner[cpu]);
+            append_job_id(out, owners[cpu]);
         }
         out += '\n';
     }
@@ -134,7 +135,7 @@ void PbsServer::render_job_stanza(const Job& job, std::string& out) const {
     out += job.rerunnable ? "    Rerunable = True\n" : "    Rerunable = False\n";
     if (job.state == JobState::kRunning || job.state == JobState::kExiting) {
         out += "    exec_host = ";
-        job.append_exec_host(out);
+        append_exec_host(job, out);
         out += '\n';
     }
     out += "    Priority = ";

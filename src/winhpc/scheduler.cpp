@@ -240,26 +240,27 @@ void HpcScheduler::on_job_terminal(std::function<void(const HpcJob&)> fn) {
     terminal_subscribers_.push_back(std::move(fn));
 }
 
-std::optional<std::vector<int>> HpcScheduler::try_place(const HpcJob& job) const {
+bool HpcScheduler::try_place(const HpcJob& job) {
     // Candidates come from the incrementally maintained bitsets (ascending
     // index, the same visit order as a full scan): node-unit jobs want fully
     // idle Online nodes, core-unit jobs accumulate free cores.
     constexpr std::size_t npos = util::IndexBitset::npos;
-    std::vector<int> chosen;
+    std::vector<int>& chosen = placement_;
+    chosen.clear();
     if (job.unit == JobUnitType::kNode) {
         for (std::size_t i = idle_.next(0); i != npos; i = idle_.next(i + 1)) {
             chosen.push_back(static_cast<int>(i));
-            if (static_cast<int>(chosen.size()) == job.min_resources) return chosen;
+            if (static_cast<int>(chosen.size()) == job.min_resources) return true;
         }
-        return std::nullopt;
+        return false;
     }
     int cores_found = 0;
     for (std::size_t i = free_.next(0); i != npos; i = free_.next(i + 1)) {
         chosen.push_back(static_cast<int>(i));
         cores_found += nodes_[i].free_cores();
-        if (cores_found >= job.min_resources) return chosen;
+        if (cores_found >= job.min_resources) return true;
     }
-    return std::nullopt;
+    return false;
 }
 
 std::optional<std::vector<int>> HpcScheduler::try_place_bruteforce(const HpcJob& job) const {
@@ -315,14 +316,14 @@ void HpcScheduler::schedule_cycle() {
                 job->unit == JobUnitType::kNode
                     ? job->min_resources <= static_cast<int>(idle_.count())
                     : job->min_resources <= free_core_agg_;
-            std::optional<std::vector<int>> placement;
-            if (may_fit) placement = try_place(*job);
+            const bool placed = may_fit && try_place(*job);
             if (consistency_checks_) {
                 const auto reference = try_place_bruteforce(*job);
-                util::ensure(placement == reference,
+                util::ensure(placed == reference.has_value() &&
+                                 (!placed || placement_ == *reference),
                              "consistency: incremental placement diverged from brute force");
             }
-            if (!placement.has_value()) {
+            if (!placed) {
                 if (config_.strict_fifo) break;
                 continue;
             }
@@ -331,7 +332,7 @@ void HpcScheduler::schedule_cycle() {
             // the unlink epoch and restart the pass from the new head.
             const std::uint64_t unlinks_before = queue_.unlinks();
             queue_.unlink(*job);
-            start_job(*job, *placement);
+            start_job(*job);
             if (queue_.unlinks() != unlinks_before + 1) {
                 cycle_again_ = true;
                 break;
@@ -341,12 +342,12 @@ void HpcScheduler::schedule_cycle() {
     in_cycle_ = false;
 }
 
-void HpcScheduler::start_job(HpcJob& job, const std::vector<int>& record_indices) {
+void HpcScheduler::start_job(HpcJob& job) {
     job.state = HpcJobState::kRunning;
     job.start_unix = engine_.unix_now();
     ++running_count_;
     int cores_needed = job.unit == JobUnitType::kCore ? job.min_resources : 0;
-    for (int idx : record_indices) {
+    for (int idx : placement_) {
         HpcNodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
         int to_take = job.unit == JobUnitType::kNode
                           ? static_cast<int>(rec.core_owner.size())

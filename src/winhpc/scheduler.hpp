@@ -225,7 +225,9 @@ public:
     [[nodiscard]] std::string node_list_output() const;
 
 private:
-    void start_job(HpcJob& job, const std::vector<int>& record_indices);
+    /// Allocate the records in placement_ (a try_place result) to `job` and
+    /// run it.
+    void start_job(HpcJob& job);
     void launch_next_task(int job_id);
     void finish_job(HpcJob& job, HpcJobState terminal, const char* why);
     void release_allocation(HpcJob& job);
@@ -234,7 +236,9 @@ private:
     void handle_node_up(cluster::Node& node, cluster::OsType os);
     void handle_node_down(cluster::Node& node);
     void requeue_job(HpcJob& job);
-    [[nodiscard]] std::optional<std::vector<int>> try_place(const HpcJob& job) const;
+    /// Fill placement_ with the records `job` would run on; false when it
+    /// does not fit now.
+    [[nodiscard]] bool try_place(const HpcJob& job);
     [[nodiscard]] std::optional<std::vector<int>> try_place_bruteforce(const HpcJob& job) const;
     /// Index of the record for `node`, or npos when not attached. O(1).
     [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
@@ -254,6 +258,7 @@ private:
 
     JobTable jobs_;  ///< every unpurged job; next_key() is the next id to issue
     HpcJobQueue queue_;  ///< kQueued jobs, id order
+    std::vector<int> placement_;  ///< try_place's result; keeps its capacity
     std::size_t running_count_ = 0;
 
     int total_cores_ = 0;

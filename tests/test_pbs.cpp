@@ -155,6 +155,12 @@ struct PbsFixture : ::testing::Test {
         engine.run_all();
     }
 
+    std::string exec_host(const Job& job) const {
+        std::string out;
+        server.append_exec_host(job, out);
+        return out;
+    }
+
     std::string submit(int nodes, int ppn, sim::Duration run_time,
                        const std::string& name = "job") {
         JobScript script;
@@ -190,20 +196,52 @@ TEST_F(PbsFixture, JobRunsAndCompletes) {
 TEST_F(PbsFixture, ExecHostUsesDescendingCpus) {
     const std::string id = submit(1, 4, sim::minutes(5));
     const Job* job = server.find_job(id);
-    // Fig 8 pattern: host/3+host/2+host/1+host/0. Each slot points at the
-    // node's own hostname rather than holding a copy.
-    ASSERT_EQ(job->exec_node_indices.size(), 1u);
-    const std::string& host = cluster.node(job->exec_node_indices[0]).hostname();
-    for (const ExecSlot& slot : job->exec_slots) EXPECT_EQ(slot.host, &host);
-    EXPECT_EQ(job->exec_host_string(),
-              host + "/3+" + host + "/2+" + host + "/1+" + host + "/0");
+    // Fig 8 pattern: host/3+host/2+host/1+host/0.
+    ASSERT_EQ(job->exec_records.span().size(), 1u);
+    const std::string& host = cluster.node(server.exec_node_index(*job, 0)).hostname();
+    EXPECT_EQ(exec_host(*job), host + "/3+" + host + "/2+" + host + "/1+" + host + "/0");
+}
+
+TEST_F(PbsFixture, ExecHostSkipsCpusHeldByOthers) {
+    // Three one-CPU jobs take cpus 3, 2 and 1 of the first node; deleting
+    // the middle one leaves 3 and 1 taken. A ppn-2 job then gets the free
+    // CPUs from the top down, and its exec_host lists only those.
+    const std::string a = submit(1, 1, sim::hours(1));
+    const std::string b = submit(1, 1, sim::hours(1));
+    const std::string c = submit(1, 1, sim::hours(1));
+    ASSERT_TRUE(server.qdel(b).ok());
+    const Job* job = server.find_job(submit(1, 2, sim::hours(1)));
+    ASSERT_EQ(job->state, JobState::kRunning);
+    const std::string& host = cluster.node(0).hostname();
+    ASSERT_EQ(server.exec_node_index(*job, 0), 0);
+    EXPECT_EQ(exec_host(*job), host + "/2+" + host + "/0");
+    EXPECT_EQ(exec_host(*server.find_job(a)), host + "/3");
+    EXPECT_EQ(exec_host(*server.find_job(c)), host + "/1");
+    EXPECT_NE(server.qstat_f_output().find("    exec_host = " + host + "/2+" + host + "/0\n"),
+              std::string::npos);
+
+    // A multi-node job lists its records in placement order, each from the
+    // top down; the full first node is skipped.
+    const Job* wide = server.find_job(submit(2, 3, sim::hours(1)));
+    ASSERT_EQ(wide->state, JobState::kRunning);
+    ASSERT_EQ(wide->exec_records.span().size(), 2u);
+    const std::string& h1 = cluster.node(server.exec_node_index(*wide, 0)).hostname();
+    const std::string& h2 = cluster.node(server.exec_node_index(*wide, 1)).hostname();
+    EXPECT_EQ(h1, cluster.node(1).hostname());
+    EXPECT_EQ(h2, cluster.node(2).hostname());
+    EXPECT_EQ(exec_host(*wide), h1 + "/3+" + h1 + "/2+" + h1 + "/1+" + h2 + "/3+" + h2 +
+                                    "/2+" + h2 + "/1");
+    // Released CPUs leave nothing behind.
+    ASSERT_TRUE(server.qdel(wide->id).ok());
+    EXPECT_TRUE(wide->exec_records.span().empty());
+    EXPECT_EQ(exec_host(*wide), "");
 }
 
 TEST_F(PbsFixture, MultiNodeJobsSpanDistinctNodes) {
     const std::string id = submit(3, 4, sim::minutes(5));
     const Job* job = server.find_job(id);
-    ASSERT_EQ(job->exec_node_indices.size(), 3u);
-    EXPECT_NE(job->exec_node_indices[0], job->exec_node_indices[1]);
+    ASSERT_EQ(job->exec_records.span().size(), 3u);
+    EXPECT_NE(server.exec_node_index(*job, 0), server.exec_node_index(*job, 1));
     EXPECT_EQ(server.fully_idle_nodes().size(), 1u);
 }
 
@@ -295,7 +333,7 @@ TEST_F(PbsFixture, NodeDownAbortsNonRerunnableJob) {
     const auto id = server.submit(script, "sliang", std::move(behavior)).value();
     const Job* job = server.find_job(id);
     ASSERT_EQ(job->state, JobState::kRunning);
-    cluster.node(job->exec_node_indices[0]).reboot();
+    cluster.node(server.exec_node_index(*job, 0)).reboot();
     EXPECT_EQ(job->state, JobState::kCompleted);
     EXPECT_EQ(job->completion, CompletionKind::kNodeFailure);
 }
@@ -303,7 +341,7 @@ TEST_F(PbsFixture, NodeDownAbortsNonRerunnableJob) {
 TEST_F(PbsFixture, NodeDownRequeuesRerunnableJob) {
     const auto id = submit(4, 4, sim::hours(1));  // rerunnable by default
     const Job* job = server.find_job(id);
-    const int victim = job->exec_node_indices[0];
+    const int victim = server.exec_node_index(*job, 0);
     cluster.node(victim).reboot();
     EXPECT_EQ(job->state, JobState::kQueued);
     EXPECT_EQ(job->requeue_count, 1);
@@ -405,7 +443,7 @@ TEST_F(PbsFixture, OnStartHookSeesAllocation) {
     behavior.run_time = sim::seconds(5);
     int seen_nodes = -1;
     behavior.on_start = [&seen_nodes](Job& job) {
-        seen_nodes = static_cast<int>(job.exec_node_indices.size());
+        seen_nodes = static_cast<int>(job.exec_records.span().size());
     };
     ASSERT_TRUE(server.submit(script, "u", std::move(behavior)).ok());
     EXPECT_EQ(seen_nodes, 1);
@@ -578,7 +616,9 @@ struct ChurnWorld {
         server->enable_consistency_checks(true);
         server->on_job_event([this](PbsServer::JobEvent ev, const Job& job) {
             events += std::to_string(static_cast<int>(ev)) + " " + job.id + " " +
-                      std::to_string(engine.unix_now()) + " " + job.exec_host_string() + "\n";
+                      std::to_string(engine.unix_now()) + " ";
+            server->append_exec_host(job, events);
+            events += '\n';
         });
         for (int i = 0; i < 6; ++i)
             for (auto& c : clusters) nodes.push_back(&c->node(i));

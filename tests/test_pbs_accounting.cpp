@@ -105,12 +105,12 @@ TEST_F(AccountingFixture, AbortAndRequeueRecorded) {
     // Non-rerunnable job killed by node loss -> A with non-zero exit.
     const std::string fragile = submit(1, 4, sim::hours(1), /*rerunnable=*/false);
     const Job* job = server.find_job(fragile);
-    cluster.node(job->exec_node_indices[0]).reboot();
+    cluster.node(server.exec_node_index(*job, 0)).reboot();
     // Rerunnable job requeued by node loss -> R.
     engine.run_all();
     const std::string robust = submit(4, 4, sim::hours(1));
     const Job* robust_job = server.find_job(robust);
-    cluster.node(robust_job->exec_node_indices[0]).reboot();
+    cluster.node(server.exec_node_index(*robust_job, 0)).reboot();
     engine.run_all();
 
     const auto records = parse_accounting_log(log.text()).value();

@@ -2,8 +2,14 @@
 // (qstat -f) formats the detector scrapes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "pbs/accounting.hpp"
 #include "pbs/server.hpp"
+#include "util/rng.hpp"
 
 namespace hc::pbs {
 namespace {
@@ -224,6 +230,105 @@ TEST_F(TextFixture, BriefQstatTicksButPbsnodesIsHeartbeatStable) {
     ASSERT_TRUE(server.set_node_offline("enode02.eridani.qgg.hud.ac.uk", true).ok());
     EXPECT_NE(server.pbsnodes_output(), nodes_before);
     EXPECT_GT(server.text_stats().node_stanza_renders, renders_before);
+}
+
+// ---- byte golden ---------------------------------------------------------
+// Every qstat -f and pbsnodes listing a seeded churn produces, plus its
+// accounting log, hashed into one number. A change to how the server keeps
+// placements, owners or stanzas must leave this hash alone; a change meant
+// to alter the bytes must say so and re-record it.
+
+std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+// Recorded from the code before PbsServer derived exec_host at render time
+// (when each job still kept its per-CPU exec slots and each node record its
+// own cpu_owner vector); the render-time derivation reproduces it.
+constexpr std::uint64_t kChurnTextHash = 6237786237075762389ull;
+
+TEST(PbsTextGolden, SeededChurnTextMatchesTheRecordedHash) {
+    sim::Engine engine;
+    cluster::ClusterConfig ccfg;
+    ccfg.node_count = 8;
+    ccfg.timing.jitter = 0;
+    cluster::Cluster cluster(engine, ccfg);
+    PbsServer server(engine);
+    AccountingLog log;
+    log.attach(server);
+    for (auto* node : cluster.nodes()) {
+        node->set_boot_resolver([](const cluster::Node&) {
+            cluster::BootDecision d;
+            d.os = OsType::kLinux;
+            return d;
+        });
+        server.attach_node(*node);
+        node->power_on();
+    }
+    engine.run_all();
+
+    std::uint64_t hash = 14695981039346656037ull;
+    const auto take = [&] {
+        hash = fnv1a(hash, server.qstat_f_output());
+        hash = fnv1a(hash, server.pbsnodes_output());
+    };
+    const auto submit = [&](int nodes, int ppn, bool rerunnable, double run_s) {
+        JobScript script;
+        script.name = "churn";
+        script.resources.nodes = nodes;
+        script.resources.ppn = ppn;
+        script.rerunnable = rerunnable;
+        JobBehavior behavior;
+        behavior.run_time = sim::seconds(run_s);
+        auto id = server.submit(script, "sliang", std::move(behavior));
+        EXPECT_TRUE(id.ok()) << id.error_message();
+        return id.ok() ? id.value() : std::string();
+    };
+
+    // Two long jobs share the first node (cpus 3,2 and 1,0); the reboot
+    // below requeues the rerunnable one and aborts the other. The churn
+    // never picks them.
+    const std::string requeued = submit(1, 2, /*rerunnable=*/true, 36'000);
+    const std::string aborted = submit(1, 2, /*rerunnable=*/false, 36'000);
+    take();
+
+    util::Rng rng(2012);
+    std::vector<std::string> ids;
+    const auto pick = [&] {
+        return ids[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    };
+    for (int step = 0; step < 240; ++step) {
+        if (step == 80) cluster.node(0).reboot();
+        const auto roll = rng.uniform_int(0, 99);
+        if (roll < 45 || ids.empty()) {
+            ids.push_back(submit(static_cast<int>(rng.uniform_int(1, 3)),
+                                 static_cast<int>(rng.uniform_int(1, 4)), rng.chance(0.7),
+                                 rng.uniform(60, 2400)));
+        } else if (roll < 55) {
+            (void)server.qdel(pick());
+        } else if (roll < 63) {
+            (void)server.qhold(pick());
+        } else if (roll < 71) {
+            (void)server.qrls(pick());
+        }
+        engine.run_for(sim::seconds(rng.uniform(0, 300)));
+        take();
+    }
+    engine.run_all();
+    take();
+    hash = fnv1a(hash, log.text());
+
+    // The churn reached what the hash is meant to cover.
+    EXPECT_EQ(server.find_job(requeued)->requeue_count, 1);
+    EXPECT_EQ(server.find_job(aborted)->completion, CompletionKind::kNodeFailure);
+    EXPECT_GT(server.stats().deleted, 0u);
+    EXPECT_GT(server.stats().started, 100u);
+    EXPECT_EQ(hash, kChurnTextHash);
 }
 
 }  // namespace

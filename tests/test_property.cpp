@@ -148,7 +148,7 @@ TEST_P(PbsInvariants, NoCoreDoubleBookingEver) {
         // 2. A running job's allocation exactly matches its request.
         int used = 0;
         for (const auto& rec : server.node_records()) {
-            for (const std::uint64_t owner : rec.cpu_owner) {
+            for (const std::uint64_t owner : server.cpu_owners(rec)) {
                 if (owner == 0) continue;
                 ++used;
                 // Slots hold the owner's seq; the server issues "<seq>.<server>".

@@ -425,6 +425,22 @@ struct WinChurnWorld {
         engine.run_for(sim::seconds(static_cast<double>(rng.uniform_int(0, 120))));
     }
 
+    /// Eight node-unit jobs of 8 to 24 nodes each, 64 or more nodes in all
+    /// on a cluster whose nodes are partly busy, offline or rebooting, so a
+    /// snapshot taken right after has several queued jobs of mixed sizes
+    /// (the test asserts at least three) and a restore has an order to
+    /// relink.
+    void queue_burst(util::Rng& rng) {
+        for (int i = 0; i < 8; ++i) {
+            winhpc::HpcJobSpec spec;
+            spec.unit = winhpc::JobUnitType::kNode;
+            spec.min_resources = static_cast<int>(rng.uniform_int(8, 24));
+            spec.run_time = sim::seconds(static_cast<double>(rng.uniform_int(600, 1800)));
+            spec.rerun_on_failure = rng.chance(0.5);
+            (void)scheduler.submit_job(std::move(spec));
+        }
+    }
+
     /// Bring every node back online and run the calendar dry.
     void drain() {
         for (int i = 0; i < 64; ++i)
@@ -464,6 +480,8 @@ TEST_P(ScaleWinHpc, ConsistencyChecksUnderChurn) {
     constexpr int kSteps = 500;
     constexpr int kSplit = 200;
     for (int i = 0; i < kSplit; ++i) ASSERT_NO_FATAL_FAILURE(world.step(rng));
+    world.queue_burst(rng);
+    EXPECT_GE(world.scheduler.queued_job_count(), 3);  // an order for the restore to relink
 
     const WinChurnWorld::Saved saved = world.save();
     const util::Rng rng_at_split = rng;
