@@ -12,6 +12,7 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     util::require(config_.cores_per_node > 0, "Cluster: cores_per_node must be positive");
     util::Rng root(config_.seed);
     nodes_.reserve(static_cast<std::size_t>(config_.node_count));
+    node_ptrs_.reserve(static_cast<std::size_t>(config_.node_count));
     for (int i = 0; i < config_.node_count; ++i) {
         NodeConfig nc;
         nc.index = i;
@@ -24,13 +25,9 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
         nc.timing = config_.timing;
         nodes_.push_back(
             std::make_unique<Node>(engine_, std::move(nc), root.fork("node" + std::to_string(i))));
+        node_ptrs_.push_back(nodes_.back().get());
+        total_cores_ += nodes_.back()->np();
     }
-}
-
-int Cluster::total_cores() const {
-    int total = 0;
-    for (const auto& n : nodes_) total += n->np();
-    return total;
 }
 
 Node& Cluster::node(int index) {
@@ -53,13 +50,6 @@ Node* Cluster::find_by_short_name(const std::string& short_name) {
     for (auto& n : nodes_)
         if (n->short_name() == short_name) return n.get();
     return nullptr;
-}
-
-std::vector<Node*> Cluster::nodes() {
-    std::vector<Node*> out;
-    out.reserve(nodes_.size());
-    for (auto& n : nodes_) out.push_back(n.get());
-    return out;
 }
 
 std::vector<Node*> Cluster::nodes_running(OsType os) {

@@ -40,13 +40,16 @@ public:
     [[nodiscard]] const ClusterConfig& config() const { return config_; }
 
     [[nodiscard]] int node_count() const { return static_cast<int>(nodes_.size()); }
-    [[nodiscard]] int total_cores() const;
+    /// Sum of every node's `np`, fixed at construction.
+    [[nodiscard]] int total_cores() const { return total_cores_; }
 
     [[nodiscard]] Node& node(int index);
     [[nodiscard]] const Node& node(int index) const;
     [[nodiscard]] Node* find_by_hostname(const std::string& hostname);
     [[nodiscard]] Node* find_by_short_name(const std::string& short_name);
-    [[nodiscard]] std::vector<Node*> nodes();
+    /// Every node in index order. Built once at construction: iterating it
+    /// allocates nothing.
+    [[nodiscard]] const std::vector<Node*>& nodes() { return node_ptrs_; }
 
     /// Nodes currently up and running `os`.
     [[nodiscard]] std::vector<Node*> nodes_running(OsType os);
@@ -84,6 +87,8 @@ private:
     ClusterConfig config_;
     Network network_;
     std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<Node*> node_ptrs_;  ///< nodes_ as plain pointers, for nodes()
+    int total_cores_ = 0;
 };
 
 }  // namespace hc::cluster

@@ -42,9 +42,10 @@ std::string Node::short_name() const {
 }
 
 void Node::enter(PowerState next) {
-    engine_.logger().trace("node/" + short_name(),
-                           std::string(power_state_name(state_)) + " -> " +
-                               power_state_name(next));
+    if (engine_.logger().enabled(util::LogLevel::kTrace))
+        engine_.logger().trace("node/" + short_name(),
+                               std::string(power_state_name(state_)) + " -> " +
+                                   power_state_name(next));
     obs::Journal& journal = engine_.obs().journal();
     if (journal.enabled())
         journal.event("node.state")
@@ -174,9 +175,10 @@ void Node::finish_boot(OsType os) {
     stats_.last_boot_duration = engine_.now() - went_down_;
     stats_.total_downtime_ms += stats_.last_boot_duration.ms;
     enter(PowerState::kUp);
-    engine_.logger().debug("node/" + short_name(),
-                           std::string("up, os=") + os_name(os) + " after " +
-                               sim::to_string(stats_.last_boot_duration));
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("node/" + short_name(),
+                               std::string("up, os=") + os_name(os) + " after " +
+                                   sim::to_string(stats_.last_boot_duration));
     for (const auto& handler : up_handlers_) handler(*this, os);
 }
 

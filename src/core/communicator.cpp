@@ -72,8 +72,9 @@ void WindowsCommunicator::tick() {
             .num("running", snap.running)
             .num("idle_nodes", snap.idle_nodes);
     const std::string payload = encode_wire(snap, extended_);
-    engine_.logger().debug("WINHEAD/communicator",
-                           "send queue state: " + snap.record.encode());
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug("WINHEAD/communicator",
+                               "send queue state: " + snap.record.encode());
     network_.send(host_, kCommunicatorPort, peer_host_, kCommunicatorPort, payload);
     ++stats_.records_sent;
 }
@@ -237,12 +238,14 @@ void LinuxCommunicator::decide_and_act(const QueueSnapshot& windows_snap) {
                 .num("cloud_provisioning", ctx.cloud.provisioning);
     }
     decide_span.arg("act", last_decision_.act() ? 1 : 0);
-    engine_.logger().debug("LINHEAD/communicator",
-                           "decision: " + (last_decision_.act()
-                                               ? std::to_string(last_decision_.node_count) +
-                                                     " -> " + os_name(last_decision_.target)
-                                               : std::string("none")) +
-                               " (" + last_decision_.reason + ")");
+    if (engine_.logger().enabled(util::LogLevel::kDebug))
+        engine_.logger().debug(
+            "LINHEAD/communicator",
+            "decision: " +
+                (last_decision_.act() ? std::to_string(last_decision_.node_count) + " -> " +
+                                            os_name(last_decision_.target)
+                                      : std::string("none")) +
+                " (" + last_decision_.reason + ")");
     // Step 5b: provision cloud capacity when the policy asked to burst.
     if (cloud_ != nullptr && last_decision_.burst()) {
         ++stats_.bursts_ordered;

@@ -54,9 +54,10 @@ void SwitchController::journal_order(const SwitchDecision& decision, std::string
 Status SwitchController::execute(const SwitchDecision& decision) {
     if (!decision.act()) return Status::ok_status();
     ++stats_.decisions_executed;
-    engine_.logger().info(log_tag(),
-                          "switch " + std::to_string(decision.node_count) + " node(s) to " +
-                              os_name(decision.target) + " — " + decision.reason);
+    if (engine_.logger().enabled(util::LogLevel::kInfo))
+        engine_.logger().info(log_tag(), "switch " + std::to_string(decision.node_count) +
+                                             " node(s) to " + os_name(decision.target) +
+                                             " — " + decision.reason);
     prepare(decision);
     const SwitchAction action = make_action(decision);
     for (int i = 0; i < decision.node_count; ++i) {

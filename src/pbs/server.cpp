@@ -81,13 +81,16 @@ void PbsServer::attach_node(Node& node) {
     rec.idle_since_unix = engine_.unix_now();
     nodes_.push_back(std::move(rec));
     node_index_[&node] = idx;
-    name_index_[node.hostname()] = idx;
-    name_index_[node.short_name()] = idx;
+    // Both keys view the node's own hostname: the short name is its prefix
+    // up to the first dot, so attaching allocates no key strings.
+    const std::string_view fqdn = node.hostname();
+    name_index_[fqdn] = idx;
+    name_index_[fqdn.substr(0, fqdn.find('.'))] = idx;
     total_cpus_ += node.np();
     set_schedulable(idx, nodes_[idx].reachable());
     touch_node(idx);
-    node.on_up([this](Node& n, OsType os) { handle_node_up(n, os); });
-    node.on_down([this](Node& n) { handle_node_down(n); });
+    node.on_up([this, idx](Node&, OsType os) { handle_node_up(idx, os); });
+    node.on_down([this, idx](Node&) { handle_node_down(idx); });
     mark_mutation();
 }
 
@@ -659,9 +662,7 @@ void PbsServer::finish_job(Job& job, CompletionKind kind) {
     stats_.purged += jobs_.purge();
 }
 
-void PbsServer::handle_node_up(Node& node, OsType os) {
-    const std::size_t idx = record_index_for(node);
-    util::ensure(idx != static_cast<std::size_t>(-1), "handle_node_up: unknown node");
+void PbsServer::handle_node_up(std::size_t idx, OsType os) {
     NodeRecord& rec = nodes_[idx];
     set_schedulable(idx, rec.reachable());
     mark_mutation();
@@ -675,9 +676,7 @@ void PbsServer::handle_node_up(Node& node, OsType os) {
     // aggregate — state() derives the rest from the node itself.
 }
 
-void PbsServer::handle_node_down(Node& node) {
-    const std::size_t idx = record_index_for(node);
-    util::ensure(idx != static_cast<std::size_t>(-1), "handle_node_down: unknown node");
+void PbsServer::handle_node_down(std::size_t idx) {
     // Drop the node from the free-CPU aggregate *before* releasing victim
     // allocations, so the frees below don't count toward schedulable CPUs.
     set_schedulable(idx, false);
@@ -703,8 +702,9 @@ void PbsServer::handle_node_down(Node& node) {
             // Reinsert preserving seq (arrival) order among queued jobs.
             eligible_.insert_by_key(*job);
             touch_job(*job);
-            engine_.logger().info("pbs/" + config_.server_name,
-                                  "requeued " + job->id + " after node failure");
+            if (engine_.logger().enabled(util::LogLevel::kInfo))
+                engine_.logger().info("pbs/" + config_.server_name,
+                                      "requeued " + job->id + " after node failure");
             emit_event(JobEvent::kRequeued, *job);
         } else {
             finish_job(*job, CompletionKind::kNodeFailure);

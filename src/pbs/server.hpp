@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -264,12 +265,15 @@ private:
     void release_allocation(Job& job);
     /// Cancel and forget the job's pending completion/walltime events.
     void cancel_timers(Job& job);
-    void handle_node_up(cluster::Node& node, cluster::OsType os);
-    void handle_node_down(cluster::Node& node);
+    /// Node transition handlers; attach_node binds each node's record index
+    /// into the callbacks it registers.
+    void handle_node_up(std::size_t idx, cluster::OsType os);
+    void handle_node_down(std::size_t idx);
     /// Fill placement_ with the records `job` would run on; false when it
     /// does not fit now.
     [[nodiscard]] bool try_place(const Job& job);
     /// Index of the record for `node`, or npos when not attached. O(1).
+    /// Only attach_node and the consistency check need it.
     [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
     void request_cycle();
 
@@ -308,7 +312,8 @@ private:
     /// nodes_[r].np slots from nodes_[r].cpu_begin.
     std::vector<std::uint64_t> cpu_owner_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
-    std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
+    /// hostname/short → record; the keys view each node's own hostname().
+    std::unordered_map<std::string_view, std::size_t> name_index_;
     using JobTable = util::JobWindow<Job, &Job::seq>;
     using EligibleQueue = util::IntrusiveFifo<Job, &Job::queue_link, &Job::seq>;
 

@@ -74,12 +74,15 @@ void HpcScheduler::attach_node(Node& node) {
     rec.free_count = node.np();
     nodes_.push_back(std::move(rec));
     node_index_[&node] = idx;
-    name_index_[node.hostname()] = idx;
-    name_index_[node.short_name()] = idx;
+    // Both keys view the node's own hostname: the short name is its prefix
+    // up to the first dot, so attaching allocates no key strings.
+    const std::string_view fqdn = node.hostname();
+    name_index_[fqdn] = idx;
+    name_index_[fqdn.substr(0, fqdn.find('.'))] = idx;
     total_cores_ += node.np();
     update_node_state(idx);
-    node.on_up([this](Node& n, OsType os) { handle_node_up(n, os); });
-    node.on_down([this](Node& n) { handle_node_down(n); });
+    node.on_up([this, idx](Node&, OsType os) { handle_node_up(idx, os); });
+    node.on_down([this, idx](Node&) { handle_node_down(idx); });
 }
 
 void HpcScheduler::update_node_state(std::size_t idx) {
@@ -493,16 +496,12 @@ void HpcScheduler::requeue_job(HpcJob& job) {
     queue_.insert_by_key(job);
 }
 
-void HpcScheduler::handle_node_up(Node& node, OsType os) {
-    const std::size_t idx = record_index_for(node);
-    util::ensure(idx != static_cast<std::size_t>(-1), "handle_node_up: unknown node");
+void HpcScheduler::handle_node_up(std::size_t idx, OsType os) {
     update_node_state(idx);
     if (os == OsType::kWindows) schedule_cycle();
 }
 
-void HpcScheduler::handle_node_down(Node& node) {
-    const std::size_t idx = record_index_for(node);
-    util::ensure(idx != static_cast<std::size_t>(-1), "handle_node_down: unknown node");
+void HpcScheduler::handle_node_down(std::size_t idx) {
     HpcNodeRecord& rec = nodes_[idx];
     // Drop the node from the free-core aggregate *before* releasing victim
     // allocations, so the frees below don't count toward Online cores.

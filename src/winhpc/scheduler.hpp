@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -233,14 +234,17 @@ private:
     void release_allocation(HpcJob& job);
     /// Cancel and forget the job's pending completion/task/limit events.
     void cancel_timers(HpcJob& job);
-    void handle_node_up(cluster::Node& node, cluster::OsType os);
-    void handle_node_down(cluster::Node& node);
+    /// Node transition handlers; attach_node binds each node's record index
+    /// into the callbacks it registers.
+    void handle_node_up(std::size_t idx, cluster::OsType os);
+    void handle_node_down(std::size_t idx);
     void requeue_job(HpcJob& job);
     /// Fill placement_ with the records `job` would run on; false when it
     /// does not fit now.
     [[nodiscard]] bool try_place(const HpcJob& job);
     [[nodiscard]] std::optional<std::vector<int>> try_place_bruteforce(const HpcJob& job) const;
     /// Index of the record for `node`, or npos when not attached. O(1).
+    /// Only attach_node and the consistency check need it.
     [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
     /// Adjust a record's cached free count and the Online aggregate.
     void adjust_free(std::size_t idx, int delta);
@@ -253,7 +257,8 @@ private:
     HpcSchedulerConfig config_;
     std::vector<HpcNodeRecord> nodes_;
     std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
-    std::unordered_map<std::string, std::size_t> name_index_;  ///< hostname/short → record
+    /// hostname/short → record; the keys view each node's own hostname().
+    std::unordered_map<std::string_view, std::size_t> name_index_;
     using JobTable = util::JobWindow<HpcJob, &HpcJob::id>;
 
     JobTable jobs_;  ///< every unpurged job; next_key() is the next id to issue

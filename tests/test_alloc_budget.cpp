@@ -1,5 +1,5 @@
-// Heap-allocation budgets of the PBS and WinHPC job lifecycles and of a
-// steady PBS detector poll.
+// Heap-allocation budgets of the PBS and WinHPC job lifecycles, of a steady
+// PBS detector poll and of the first-boot settle of a hybrid cluster.
 //
 // This binary replaces the global operator new with a counting one, so it
 // can pin how many allocations one job costs a warm server: submit, start
@@ -22,6 +22,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/detector.hpp"
+#include "core/hybrid.hpp"
 #include "pbs/server.hpp"
 #include "winhpc/scheduler.hpp"
 
@@ -36,15 +37,20 @@
 #ifndef HC_TEST_SANITIZED
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
     throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: GCC stops inlining the counting operator new above, and
+// would then see a free() inlined against a call to operator new and flag it
+// as a mismatched pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 #endif
 
 namespace hc {
@@ -246,6 +252,41 @@ TEST(AllocBudget, SteadyDetectorPoll) {
     EXPECT_LE(used, kSteadyPollAllocations * kPolls)
         << "a steady detector poll allocated " << static_cast<double>(used) / kPolls
         << " times, budget " << kSteadyPollAllocations;
+#endif
+}
+
+#ifndef HC_TEST_SANITIZED
+/// Bytes HybridCluster::settle() allocates per node while an `nodes`-node
+/// cluster boots from power-on to all-up.
+double settle_bytes_per_node(int nodes) {
+    sim::Engine engine;
+    core::HybridConfig cfg;
+    cfg.cluster.node_count = nodes;
+    core::HybridCluster hybrid(engine, cfg);
+    hybrid.start();
+    const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+    hybrid.settle();
+    const std::uint64_t used = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(hybrid.cluster().count_running(cluster::OsType::kLinux), nodes);
+    return static_cast<double>(used) / nodes;
+}
+#endif
+
+/// The first boot costs each node a fixed number of events, so what settle()
+/// allocates per node must not grow with the cluster: a settle that copies
+/// or rescans the node list on every boot event spends bytes per node in
+/// proportion to the node count (about 4x from 1k to 4k nodes).
+TEST(AllocBudget, SettleBytesPerNodeStayFlat) {
+#ifdef HC_TEST_SANITIZED
+    GTEST_SKIP() << "allocation counts are not meaningful under a sanitizer runtime";
+#else
+    const double small = settle_bytes_per_node(1000);
+    const double large = settle_bytes_per_node(4000);
+    RecordProperty("bytes_per_node_1k", std::to_string(small));
+    RecordProperty("bytes_per_node_4k", std::to_string(large));
+    EXPECT_LE(large, 1.25 * small) << "settle() allocated " << small
+                                   << " bytes per node at 1k nodes and " << large
+                                   << " at 4k";
 #endif
 }
 

@@ -2,11 +2,15 @@
 // simulated Eridani, v1 vs v2 behaviour, baselines, and failure injection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "boot/boot_control.hpp"
 #include "boot/disk_layouts.hpp"
 #include "core/hybrid.hpp"
 #include "core/scenario.hpp"
 #include "deploy/reimage.hpp"
+#include "util/log.hpp"
 #include "workload/generator.hpp"
 
 namespace hc::core {
@@ -346,6 +350,166 @@ TEST(Integration, CaseStudyLoadFollowsUnderFairShare) {
                                                     sim::hours(16).seconds());
     EXPECT_EQ(summary.completed, 19u);
     EXPECT_GE(hybrid.counters().os_switches, 6u);  // a real shift, not one node
+}
+
+// Every record a kTrace sink sees over a 4-node boot and one switch order.
+// The expected lines come from code that built every log string whether or
+// not anyone listened; the Logger::enabled guards may change what is built
+// when nobody listens, never what a listener receives.
+TEST(Integration, TraceLogOfBootAndOneSwitchMatchesRecording) {
+    sim::Engine engine;
+    std::vector<std::string> lines;
+    engine.logger().set_min_level(util::LogLevel::kTrace);
+    engine.logger().add_sink(
+        [&lines](const util::LogRecord& r) { lines.push_back(util::format_log_record(r)); });
+    HybridConfig cfg = small_config(deploy::MiddlewareVersion::kV2);
+    cfg.cluster.node_count = 4;
+    HybridCluster hybrid(engine, cfg);
+    hybrid.start();
+    hybrid.settle();
+    hybrid.submit_now(job(OsType::kWindows, 1, sim::minutes(10), "Backburner"));
+    engine.run_until(sim::TimePoint{} + sim::minutes(20));
+    const std::vector<std::string> expected = {
+        "[      0s] TRACE node/enode01: off -> firmware",
+        "[      0s] TRACE node/enode02: off -> firmware",
+        "[      0s] TRACE node/enode03: off -> firmware",
+        "[      0s] TRACE node/enode04: off -> firmware",
+        "[     35s] TRACE node/enode01: firmware -> bootloader",
+        "[     35s] TRACE node/enode02: firmware -> bootloader",
+        "[     35s] TRACE node/enode03: firmware -> bootloader",
+        "[     35s] TRACE node/enode04: firmware -> bootloader",
+        "[     49s] TRACE node/enode01: bootloader -> booting-os",
+        "[     49s] TRACE node/enode02: bootloader -> booting-os",
+        "[     49s] TRACE node/enode03: bootloader -> booting-os",
+        "[     49s] TRACE node/enode04: bootloader -> booting-os",
+        "[    144s] TRACE node/enode01: booting-os -> up",
+        "[    144s] DEBUG node/enode01: up, os=linux after 00:02:24.000",
+        "[    144s] TRACE node/enode02: booting-os -> up",
+        "[    144s] DEBUG node/enode02: up, os=linux after 00:02:24.000",
+        "[    144s] TRACE node/enode03: booting-os -> up",
+        "[    144s] DEBUG node/enode03: up, os=linux after 00:02:24.000",
+        "[    144s] TRACE node/enode04: booting-os -> up",
+        "[    144s] DEBUG node/enode04: up, os=linux after 00:02:24.000",
+        "[    144s] DEBUG winhpc/WINHEAD: submit job 1",
+        "[    300s] DEBUG WINHEAD/communicator: send queue state: 100041.winhpc",
+        "[    300s] DEBUG LINHEAD/communicator: decision: 1 -> windows (windows stuck on 1.winhpc needing 4 cpus)",
+        "[    300s] INFO  controller/v2: switch 1 node(s) to windows — windows stuck on 1.winhpc needing 4 cpus",
+        "[    300s] DEBUG pbs/eridani.qgg.hud.ac.uk: qsub 1185.eridani.qgg.hud.ac.uk",
+        "[    300s] DEBUG pbs/eridani.qgg.hud.ac.uk: run 1185.eridani.qgg.hud.ac.uk on enode01.eridani.qgg.hud.ac.uk/3+enode01.eridani.qgg.hud.ac.uk/2+enode01.eridani.qgg.hud.ac.uk/1+enode01.eridani.qgg.hud.ac.uk/0",
+        "[    303s] TRACE node/enode01: up -> shutting-down",
+        "[    303s] DEBUG pbs/eridani.qgg.hud.ac.uk: job 1185.eridani.qgg.hud.ac.uk completed (node-failure)",
+        "[    328s] TRACE node/enode01: shutting-down -> firmware",
+        "[    363s] TRACE node/enode01: firmware -> bootloader",
+        "[    377s] TRACE node/enode01: bootloader -> booting-os",
+        "[    537s] TRACE node/enode01: booting-os -> up",
+        "[    537s] DEBUG node/enode01: up, os=windows after 00:03:54.000",
+        "[    537s] DEBUG winhpc/WINHEAD: job 1 running",
+        "[    600s] DEBUG WINHEAD/communicator: send queue state: 00000none",
+        "[    600s] DEBUG LINHEAD/communicator: decision: none (no queue stuck)",
+        "[    900s] DEBUG WINHEAD/communicator: send queue state: 00000none",
+        "[    900s] DEBUG LINHEAD/communicator: decision: none (no queue stuck)",
+        "[   1137s] DEBUG winhpc/WINHEAD: job 1 Finished (all tasks finished)",
+        "[   1200s] DEBUG WINHEAD/communicator: send queue state: 00000none"};
+    EXPECT_EQ(lines, expected);
+}
+
+/// HybridCluster::settle as a full scan of every node before every step: the
+/// oracle the incremental settle must agree with to the step.
+void full_scan_settle(HybridCluster& hybrid, sim::Duration limit) {
+    sim::Engine& engine = hybrid.engine();
+    const sim::TimePoint deadline = engine.now() + limit;
+    while (engine.now() < deadline) {
+        bool all_up = true;
+        for (int i = 0; i < hybrid.cluster().node_count(); ++i)
+            if (!hybrid.cluster().node(i).is_up()) all_up = false;
+        if (all_up) return;
+        if (!engine.step()) return;
+    }
+}
+
+struct SettleEnd {
+    std::int64_t now_ms = 0;
+    std::uint64_t dispatched = 0;
+    int up = 0;
+};
+
+/// Starts the cluster `cfg` describes, lets `perturb` schedule faults against
+/// it, then settles it with the real settle or the oracle.
+template <typename Perturb>
+SettleEnd settle_world(bool oracle, const HybridConfig& cfg, sim::Duration limit,
+                       Perturb perturb) {
+    sim::Engine engine;
+    HybridCluster hybrid(engine, cfg);
+    hybrid.start();
+    perturb(engine, hybrid.cluster());
+    if (oracle)
+        full_scan_settle(hybrid, limit);
+    else
+        hybrid.settle(limit);
+    SettleEnd end;
+    end.now_ms = engine.now().ms;
+    end.dispatched = engine.stats().dispatched;
+    for (int i = 0; i < hybrid.cluster().node_count(); ++i)
+        if (hybrid.cluster().node(i).is_up()) ++end.up;
+    return end;
+}
+
+/// Settles the same world both ways, checks they stop at the same step with
+/// `expect_up` nodes up, and returns where the real settle stopped.
+template <typename Perturb>
+SettleEnd expect_settle_matches_oracle(const HybridConfig& cfg, sim::Duration limit,
+                                       Perturb perturb, int expect_up) {
+    const SettleEnd fast = settle_world(false, cfg, limit, perturb);
+    const SettleEnd oracle = settle_world(true, cfg, limit, perturb);
+    EXPECT_EQ(fast.now_ms, oracle.now_ms);
+    EXPECT_EQ(fast.dispatched, oracle.dispatched);
+    EXPECT_EQ(fast.up, expect_up);
+    EXPECT_EQ(oracle.up, expect_up);
+    return fast;
+}
+
+TEST(Integration, SettleMatchesFullScanOracleOnPlainBoot) {
+    // Jittered boot stages, so the nodes come up in a seed-dependent order.
+    for (std::uint64_t seed : {1u, 7u, 42u}) {
+        SCOPED_TRACE(seed);
+        HybridConfig cfg = small_config(deploy::MiddlewareVersion::kV2);
+        cfg.cluster.node_count = 16;
+        cfg.cluster.timing.jitter = 0.15;
+        cfg.cluster.seed = seed;
+        (void)expect_settle_matches_oracle(cfg, sim::minutes(10),
+                                           [](sim::Engine&, cluster::Cluster&) {}, 16);
+    }
+}
+
+// Node 0 comes up first and the check moves past it; the other nodes are
+// power-cycled mid-boot so they come up late, and node 0 reboots while they
+// still boot. Only a re-check of the nodes already passed sees node 0 down:
+// settle must keep stepping until it is back.
+TEST(Integration, SettleRechecksNodesThatWentDownBehindIt) {
+    auto perturb = [](sim::Engine& engine, cluster::Cluster& cluster) {
+        engine.schedule_at(sim::TimePoint{} + sim::seconds(100), [&cluster] {
+            for (int i = 1; i < cluster.node_count(); ++i) cluster.node(i).hard_power_cycle();
+        });
+        engine.schedule_at(sim::TimePoint{} + sim::seconds(150),
+                           [&cluster] { cluster.node(0).reboot(); });
+    };
+    const HybridConfig cfg = small_config(deploy::MiddlewareVersion::kV2);
+    const SettleEnd end = expect_settle_matches_oracle(cfg, sim::minutes(10), perturb, 8);
+    // Node 0 is back at 150 + 169 s (shutdown 25, firmware 35, GRUB menu 14,
+    // Linux 95); the power-cycled nodes were up at 100 + 144 = 244 s.
+    EXPECT_EQ(end.now_ms, sim::seconds(319).ms);
+}
+
+// A node that hangs mid-boot never comes up (recovery is off), so settle
+// runs the engine to the limit exactly as the oracle does.
+TEST(Integration, SettleStopsAtTheLimitWithOneNodeHung) {
+    auto perturb = [](sim::Engine& engine, cluster::Cluster& cluster) {
+        engine.schedule_at(sim::TimePoint{} + sim::seconds(100),
+                           [&cluster] { cluster.node(5).inject_hang(); });
+    };
+    const HybridConfig cfg = small_config(deploy::MiddlewareVersion::kV2);
+    for (const sim::Duration limit : {sim::minutes(10), sim::minutes(3)})
+        EXPECT_GE(expect_settle_matches_oracle(cfg, limit, perturb, 7).now_ms, limit.ms);
 }
 
 }  // namespace

@@ -377,6 +377,27 @@ TEST_F(PbsFixture, OfflineNodeNotScheduled) {
     EXPECT_FALSE(server.set_node_offline("enode99", true).ok());
 }
 
+// The name index answers both spellings of every node (pbsnodes -o/-c take
+// either the FQDN or the short name) and refuses anything else with the
+// typed error, for every node and not only the first one attached.
+TEST_F(PbsFixture, NodeNamesResolveByFqdnAndShortName) {
+    for (int i = 0; i < cluster.node_count(); ++i) {
+        const cluster::Node& node = cluster.node(i);
+        ASSERT_TRUE(server.set_node_offline(node.hostname(), true).ok());
+        EXPECT_TRUE(server.node_records()[static_cast<std::size_t>(i)].offline);
+        ASSERT_TRUE(server.set_node_offline(node.short_name(), false).ok());
+        EXPECT_FALSE(server.node_records()[static_cast<std::size_t>(i)].offline);
+        ASSERT_TRUE(server.set_node_properties(node.short_name(), {"all", "bigmem"}).ok());
+        EXPECT_TRUE(server.node_records()[static_cast<std::size_t>(i)].has_properties({"bigmem"}));
+    }
+    for (const std::string name : {"enode05", "enode01.eridani", "eridani.qgg.hud.ac.uk", ""}) {
+        const auto status = server.set_node_offline(name, true);
+        ASSERT_FALSE(status.ok()) << name;
+        EXPECT_EQ(status.error_message(), "unknown node: " + name);
+        EXPECT_FALSE(server.set_node_properties(name, {"all"}).ok()) << name;
+    }
+}
+
 TEST_F(PbsFixture, QholdSkipsJobAndUnblocksQueue) {
     submit(4, 4, sim::hours(1), "running");
     const auto head = submit(4, 4, sim::hours(1), "will-be-held");

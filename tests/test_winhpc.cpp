@@ -167,6 +167,24 @@ TEST_F(HpcFixture, AdminOfflineAndDraining) {
     EXPECT_FALSE(scheduler.set_node_online("nonesuch", false).ok());
 }
 
+// By-name admin calls take the FQDN or the short name of any node and refuse
+// anything else with the typed error.
+TEST_F(HpcFixture, NodeNamesResolveByFqdnAndShortName) {
+    for (int i = 0; i < cluster.node_count(); ++i) {
+        const cluster::Node& node = cluster.node(i);
+        const auto& rec = scheduler.node_records()[static_cast<std::size_t>(i)];
+        ASSERT_TRUE(scheduler.set_node_online(node.hostname(), false).ok());
+        EXPECT_TRUE(rec.admin_offline);
+        ASSERT_TRUE(scheduler.set_node_online(node.short_name(), true).ok());
+        EXPECT_FALSE(rec.admin_offline);
+    }
+    for (const std::string name : {"enode05", "enode01.eridani", "nonesuch", ""}) {
+        const auto status = scheduler.set_node_online(name, false);
+        ASSERT_FALSE(status.ok()) << name;
+        EXPECT_EQ(status.error_message(), "unknown node: " + name);
+    }
+}
+
 TEST_F(HpcFixture, GetJobsFiltering) {
     submit_node_job(4, sim::hours(1));
     submit_node_job(1, sim::hours(1));
