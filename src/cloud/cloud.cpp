@@ -163,7 +163,7 @@ void CloudBackend::release(int slot) {
 bool CloudBackend::busy(int slot) const {
     const std::size_t i = static_cast<std::size_t>(slot);
     if (pbs_ && pbs_->node_records()[pbs_base_ + i].used_cpus() > 0) return true;
-    if (winhpc_ && winhpc_->node_records()[win_base_ + i].used_cores() > 0) return true;
+    if (winhpc_ && winhpc_->node_records()[win_base_ + i].used_cpus() > 0) return true;
     return false;
 }
 

@@ -83,7 +83,8 @@ Status SwitchController::submit_one(const SwitchDecision& decision, const Switch
         ++stats_.switch_jobs_pbs;
         journal_order(decision, "pbs", id.value());
     } else {
-        auto spec = make_winhpc_switch_spec(engine_, cluster_, decision.target, action, log_);
+        auto spec =
+            make_winhpc_switch_spec(engine_, cluster_, winhpc_, decision.target, action, log_);
         const int jid = winhpc_.submit_job(std::move(spec));
         ++stats_.switch_jobs_winhpc;
         journal_order(decision, "winhpc", std::to_string(jid));

@@ -108,7 +108,8 @@ pbs::JobBehavior make_pbs_switch_behavior(sim::Engine& engine, Cluster& cluster,
     return behavior;
 }
 
-winhpc::HpcJobSpec make_winhpc_switch_spec(sim::Engine& engine, Cluster& cluster, OsType target,
+winhpc::HpcJobSpec make_winhpc_switch_spec(sim::Engine& engine, Cluster& cluster,
+                                           const winhpc::HpcScheduler& scheduler, OsType target,
                                            SwitchAction action, RebootLog* log) {
     winhpc::HpcJobSpec spec;
     spec.name = "release_1_node";
@@ -117,12 +118,14 @@ winhpc::HpcJobSpec make_winhpc_switch_spec(sim::Engine& engine, Cluster& cluster
     spec.min_resources = 1;
     spec.run_time = sim::minutes(10);
     spec.rerun_on_failure = false;
-    spec.on_start = [&engine, &cluster, target, action = std::move(action), log](
+    spec.on_start = [&engine, &cluster, &scheduler, target, action = std::move(action), log](
                         winhpc::HpcJob& job) {
-        util::require(!job.allocated_node_indices.empty(),
-                      "switch job started without an allocation");
-        run_switch_on_node(engine, cluster, job.allocated_node_indices.front(), target, action,
-                           log, std::to_string(job.id) + ".winhpc");
+        const auto records = job.allocated_records.span();
+        util::require(!records.empty(), "switch job started without an allocation");
+        const cluster::Node& node =
+            *scheduler.node_records()[static_cast<std::size_t>(records.front())].node;
+        run_switch_on_node(engine, cluster, node.index(), target, action, log,
+                           std::to_string(job.id) + ".winhpc");
     };
     return spec;
 }

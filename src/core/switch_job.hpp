@@ -76,9 +76,11 @@ inline constexpr double kSwitchSleepS = 10.0;       ///< trailing `sleep 10`
                                                         cluster::OsType target,
                                                         SwitchAction action, RebootLog* log);
 
-/// Same effects as a Windows HPC job spec (node unit, exclusive).
+/// Same effects as a Windows HPC job spec (node unit, exclusive);
+/// `scheduler` is the one the job is submitted to.
 [[nodiscard]] winhpc::HpcJobSpec make_winhpc_switch_spec(sim::Engine& engine,
                                                          cluster::Cluster& cluster,
+                                                         const winhpc::HpcScheduler& scheduler,
                                                          cluster::OsType target,
                                                          SwitchAction action, RebootLog* log);
 

@@ -9,10 +9,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
-#include <vector>
 
+#include "cluster/node_table.hpp"
 #include "pbs/resource_list.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -30,36 +29,6 @@ enum class JobState {
 };
 
 [[nodiscard]] char job_state_char(JobState s);
-
-/// The server node records a running job holds, in placement order; the
-/// job owns `resources.ppn` CPUs on each. One record is kept inline, so a
-/// single-node job allocates nothing for its placement and a multi-node job
-/// allocates at most once (a requeued one reuses the capacity). Callers see
-/// only span(), never which of the two forms holds the list.
-class RecordList {
-public:
-    void assign(std::span<const int> records) {
-        spill_.clear();
-        if (records.size() == 1) {
-            first_ = records[0];
-        } else {
-            first_ = -1;
-            spill_.assign(records.begin(), records.end());
-        }
-    }
-    void clear() {
-        first_ = -1;
-        spill_.clear();
-    }
-    [[nodiscard]] std::span<const int> span() const {
-        if (first_ >= 0) return {&first_, 1};
-        return spill_;
-    }
-
-private:
-    int first_ = -1;          ///< the record when there is exactly one
-    std::vector<int> spill_;  ///< the records when there are two or more
-};
 
 /// How a job behaves once it runs. Real PBS executes a shell script; the
 /// simulation attaches the script's *effects* instead: a natural run time
@@ -98,7 +67,9 @@ struct Job {
     int requeue_count = 0;
     int priority = 0;
 
-    RecordList exec_records;  ///< node records held while running (empty otherwise)
+    /// Node records held while running (empty otherwise); the job owns
+    /// `resources.ppn` CPUs on each.
+    cluster::RecordList exec_records;
 
     // Pending timers of the current run. Cancelling an id whose event has
     // already fired is a no-op, so they need no clearing when they fire.

@@ -55,40 +55,17 @@ PbsServer::PbsServer(sim::Engine& engine, PbsServerConfig config)
     // scheduler's hot path free of bookkeeping.
     hub.metrics().add_provider([this](obs::Registry& reg) {
         reg.gauge("pbs.queue.depth").set(static_cast<double>(eligible_.size()));
-        reg.gauge("pbs.free_cpus").set(static_cast<double>(free_cpu_agg_));
+        reg.gauge("pbs.free_cpus").set(static_cast<double>(nodes_.free_cpus()));
         reg.gauge("pbs.jobs.started").set(static_cast<double>(stats_.started));
         reg.gauge("pbs.jobs.completed").set(static_cast<double>(stats_.completed_normal));
     });
 }
 
-std::size_t PbsServer::record_index_for(const Node& node) const {
-    auto it = node_index_.find(&node);
-    return it == node_index_.end() ? static_cast<std::size_t>(-1) : it->second;
-}
-
 void PbsServer::attach_node(Node& node) {
-    util::require(record_index_for(node) == static_cast<std::size_t>(-1),
-                  "PbsServer::attach_node: node already attached");
-    const std::size_t idx = nodes_.size();
     NodeRecord rec;
-    rec.node = &node;
-    rec.np = node.np();
-    rec.cpu_begin = cpu_owner_.size();
-    cpu_owner_.resize(cpu_owner_.size() + static_cast<std::size_t>(rec.np), 0);
-    rec.free_count = rec.np;
-    if (fit_.size() < static_cast<std::size_t>(rec.np))
-        fit_.resize(static_cast<std::size_t>(rec.np));
     rec.idle_since_unix = engine_.unix_now();
-    nodes_.push_back(std::move(rec));
-    node_index_[&node] = idx;
-    // Both keys view the node's own hostname: the short name is its prefix
-    // up to the first dot, so attaching allocates no key strings.
-    const std::string_view fqdn = node.hostname();
-    name_index_[fqdn] = idx;
-    name_index_[fqdn.substr(0, fqdn.find('.'))] = idx;
-    total_cpus_ += node.np();
+    const std::size_t idx = nodes_.attach(node, std::move(rec));
     set_schedulable(idx, nodes_[idx].reachable());
-    touch_node(idx);
     node.on_up([this, idx](Node&, OsType os) { handle_node_up(idx, os); });
     node.on_down([this, idx](Node&) { handle_node_down(idx); });
     mark_mutation();
@@ -112,75 +89,18 @@ void PbsServer::touch_job(Job& job) {
     }
 }
 
-void PbsServer::update_node_sets(std::size_t idx) {
-    NodeRecord& rec = nodes_[idx];
-    // A free-count move from a to b flips exactly |a - b| fit bits.
-    const int level = rec.in_free_agg ? rec.free_count : 0;
-    for (int p = rec.fit_level; p < level; ++p) fit_[static_cast<std::size_t>(p)].set(idx);
-    for (int p = level; p < rec.fit_level; ++p) fit_[static_cast<std::size_t>(p)].reset(idx);
-    rec.fit_level = level;
-    if (rec.in_free_agg && rec.used_cpus() == 0)
-        idle_.set(idx);
-    else
-        idle_.reset(idx);
-}
-
-void PbsServer::adjust_free(std::size_t idx, int delta) {
-    NodeRecord& rec = nodes_[idx];
-    rec.free_count += delta;
-    util::ensure(rec.free_count >= 0 && rec.free_count <= rec.np,
-                 "PbsServer::adjust_free: free count out of range");
-    if (rec.in_free_agg) free_cpu_agg_ += delta;
-    update_node_sets(idx);
-    touch_node(idx);
-}
-
 void PbsServer::set_schedulable(std::size_t idx, bool schedulable) {
-    NodeRecord& rec = nodes_[idx];
-    const bool want = schedulable && !rec.offline;
-    if (rec.in_free_agg != want) {
-        rec.in_free_agg = want;
-        free_cpu_agg_ += want ? rec.free_count : -rec.free_count;
-    }
-    update_node_sets(idx);
+    nodes_.set_counted(idx, schedulable && !nodes_[idx].offline);
     touch_node(idx);
 }
 
 void PbsServer::verify_incremental_state() const {
-    int agg = 0;
-    int total = 0;
+    nodes_.verify([](const NodeRecord& rec) { return rec.reachable() && !rec.offline; });
     int used = 0;
     std::string fresh;  // a stanza rendered from primary state
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeRecord& rec = nodes_[i];
-        util::ensure(rec.cpu_begin == static_cast<std::size_t>(total) && rec.np == rec.node->np(),
-                     "consistency: record's owner slots are not its own");
-        const auto owners = cpu_owners(rec);
-        const int free =
-            static_cast<int>(std::count(owners.begin(), owners.end(), std::uint64_t{0}));
-        util::ensure(free == rec.free_count,
-                     "consistency: cached free count diverged from the owner slots");
-        const bool should_count = rec.reachable() && !rec.offline;
-        util::ensure(rec.in_free_agg == should_count,
-                     "consistency: in_free_agg diverged from node state");
-        if (should_count) agg += free;
-        total += rec.np;
-        used += rec.np - free;
-        // Index maps point back at this record.
-        auto pit = node_index_.find(rec.node);
-        util::ensure(pit != node_index_.end() && pit->second == i,
-                     "consistency: node_index_ diverged");
-        auto nit = name_index_.find(rec.node->hostname());
-        util::ensure(nit != name_index_.end() && nit->second == i,
-                     "consistency: name_index_ diverged");
-        // Every fit-index bit and the idle bit match the brute-force predicate.
-        util::ensure(rec.fit_level == (should_count ? free : 0),
-                     "consistency: fit level diverged from node state");
-        for (std::size_t p = 1; p <= fit_.size(); ++p)
-            util::ensure(fit_[p - 1].test(i) == (should_count && free >= static_cast<int>(p)),
-                         "consistency: fit-index membership diverged");
-        util::ensure(idle_.test(i) == (should_count && rec.used_cpus() == 0),
-                     "consistency: idle-node set membership diverged");
+        used += rec.used_cpus();
         // A clean stanza must equal a fresh render of the record.
         if (!rec.text_dirty) {
             const auto* chunk = pbsnodes_doc_.find(static_cast<util::TextDocument::Key>(i));
@@ -190,15 +110,6 @@ void PbsServer::verify_incremental_state() const {
                          "consistency: clean pbsnodes stanza diverged from state");
         }
     }
-    util::ensure(agg == free_cpu_agg_, "consistency: free-CPU aggregate diverged");
-    // No bit beyond the last record (next() would hand placement a bad index).
-    for (const auto& fit : fit_)
-        util::ensure(fit.next(nodes_.size()) == util::IndexBitset::npos,
-                     "consistency: fit index holds a stale record");
-    util::ensure(idle_.next(nodes_.size()) == util::IndexBitset::npos,
-                 "consistency: idle set holds a stale record");
-    util::ensure(total == total_cpus_ && cpu_owner_.size() == static_cast<std::size_t>(total),
-                 "consistency: total-CPU count diverged");
 
     // Beyond their own checks: retired jobs are completed, queued ones linked.
     jobs_.verify([](const Job& job) { return job.state == JobState::kCompleted; });
@@ -354,11 +265,11 @@ Status PbsServer::qrls(const std::string& job_id) {
 }
 
 Status PbsServer::set_node_offline(const std::string& hostname, bool offline) {
-    auto it = name_index_.find(hostname);
-    if (it == name_index_.end()) return Error{"unknown node: " + hostname};
-    NodeRecord& rec = nodes_[it->second];
+    const std::size_t idx = nodes_.find(hostname);
+    if (idx == nodes_.npos) return Error{"unknown node: " + hostname};
+    NodeRecord& rec = nodes_[idx];
     rec.offline = offline;
-    set_schedulable(it->second, rec.reachable());
+    set_schedulable(idx, rec.reachable());
     mark_mutation();
     if (!offline) request_cycle();
     return Status::ok_status();
@@ -366,10 +277,10 @@ Status PbsServer::set_node_offline(const std::string& hostname, bool offline) {
 
 Status PbsServer::set_node_properties(const std::string& hostname,
                                       std::vector<std::string> properties) {
-    auto it = name_index_.find(hostname);
-    if (it == name_index_.end()) return Error{"unknown node: " + hostname};
-    nodes_[it->second].properties = std::move(properties);
-    touch_node(it->second);
+    const std::size_t idx = nodes_.find(hostname);
+    if (idx == nodes_.npos) return Error{"unknown node: " + hostname};
+    nodes_[idx].properties = std::move(properties);
+    touch_node(idx);
     mark_mutation();
     request_cycle();  // a blocked job may match the new properties
     return Status::ok_status();
@@ -413,20 +324,6 @@ std::vector<const Job*> PbsServer::all_jobs() const {
     return out;
 }
 
-const std::vector<const NodeRecord*>& PbsServer::fully_idle_nodes() const {
-    // Materialise from the incrementally maintained set; the set tracks
-    // in_free_agg && used == 0, which is exactly kFree with all cpus idle.
-    if (idle_cache_version_ != version_) {
-        idle_cache_.clear();
-        idle_cache_.reserve(idle_.count());
-        for (std::size_t idx = idle_.next(0); idx != util::IndexBitset::npos;
-             idx = idle_.next(idx + 1))
-            idle_cache_.push_back(&nodes_[idx]);
-        idle_cache_version_ = version_;
-    }
-    return idle_cache_;
-}
-
 void PbsServer::on_job_terminal(std::function<void(const Job&)> fn) {
     terminal_subscribers_.push_back(std::move(fn));
 }
@@ -446,16 +343,12 @@ bool PbsServer::try_place(const Job& job) {
     // candidate has room and only the property filter can skip one.
     std::vector<int>& chosen = placement_;
     chosen.clear();
-    const auto level = static_cast<std::size_t>(std::max(job.resources.ppn, 1));
-    if (level <= fit_.size()) {
-        const util::IndexBitset& fit = fit_[level - 1];
-        for (std::size_t idx = fit.next(0);
-             idx != util::IndexBitset::npos &&
-             static_cast<int>(chosen.size()) < job.resources.nodes;
-             idx = fit.next(idx + 1)) {
-            if (!nodes_[idx].has_properties(job.resources.properties)) continue;
-            chosen.push_back(static_cast<int>(idx));
-        }
+    const util::IndexBitset& fit = nodes_.fit(std::max(job.resources.ppn, 1));
+    for (std::size_t idx = fit.next(0);
+         idx != util::IndexBitset::npos && static_cast<int>(chosen.size()) < job.resources.nodes;
+         idx = fit.next(idx + 1)) {
+        if (!nodes_[idx].has_properties(job.resources.properties)) continue;
+        chosen.push_back(static_cast<int>(idx));
     }
     return static_cast<int>(chosen.size()) >= job.resources.nodes;
 }
@@ -508,7 +401,7 @@ void PbsServer::schedule_cycle() {
             // and the node scan is skipped. In the stuck steady state this
             // makes the whole cycle O(1).
             const bool placed =
-                job->resources.total_cpus() <= free_cpu_agg_ && try_place(*job);
+                job->resources.total_cpus() <= nodes_.free_cpus() && try_place(*job);
             if (consistency_checks_) {
                 const auto reference = try_place_bruteforce(*job);
                 util::ensure(placed == reference.has_value() &&
@@ -539,18 +432,12 @@ void PbsServer::request_cycle() { schedule_cycle(); }
 void PbsServer::start_job(Job& job) {
     job.state = JobState::kRunning;
     job.stime_unix = engine_.unix_now();
-    for (int idx : placement_) {
-        const NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
+    for (const int idx : placement_) {
         // TORQUE hands out cpu indices descending (Fig 8: .../3+.../2+...).
-        std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
-        int assigned = 0;
-        for (int cpu = rec.np - 1; cpu >= 0 && assigned < job.resources.ppn; --cpu) {
-            if (owner[cpu] != 0) continue;
-            owner[cpu] = job.seq;
-            ++assigned;
-        }
+        const int assigned = nodes_.take(static_cast<std::size_t>(idx), job.seq,
+                                         job.resources.ppn, cluster::CpuOrder::kHighFirst);
         util::ensure(assigned == job.resources.ppn, "start_job: placement raced allocation");
-        adjust_free(static_cast<std::size_t>(idx), -assigned);
+        touch_node(static_cast<std::size_t>(idx));
     }
     job.exec_records.assign(placement_);
     ++stats_.started;
@@ -593,7 +480,7 @@ void PbsServer::append_exec_host(const Job& job, std::string& out) const {
     bool first = true;
     for (const int idx : job.exec_records.span()) {
         const NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        const std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
+        const auto owner = cpu_owners(rec);
         for (int cpu = rec.np - 1; cpu >= 0; --cpu) {
             if (owner[cpu] != job.seq) continue;
             if (!first) out += '+';
@@ -609,19 +496,12 @@ void PbsServer::release_allocation(Job& job) {
     // O(allocated): only the records the job holds are touched, each from
     // the top down (where start_job put the job's CPUs) until its ppn CPUs
     // are free.
-    for (const int idx : job.exec_records.span()) {
-        NodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        std::uint64_t* owner = cpu_owner_.data() + rec.cpu_begin;
-        int freed = 0;
-        for (int cpu = rec.np - 1; cpu >= 0 && freed < job.resources.ppn; --cpu) {
-            if (owner[cpu] != job.seq) continue;
-            owner[cpu] = 0;
-            ++freed;
-        }
-        if (freed > 0) {
-            if (rec.used_cpus() == freed) rec.idle_since_unix = engine_.unix_now();
-            adjust_free(static_cast<std::size_t>(idx), freed);
-        }
+    for (const int r : job.exec_records.span()) {
+        const auto idx = static_cast<std::size_t>(r);
+        if (nodes_.release(idx, job.seq, job.resources.ppn) == 0) continue;
+        NodeRecord& rec = nodes_[idx];
+        if (rec.used_cpus() == 0) rec.idle_since_unix = engine_.unix_now();
+        touch_node(idx);
     }
     job.exec_records.clear();
 }
@@ -717,14 +597,10 @@ PbsServer::SavedState PbsServer::save_state() const {
     util::require(!in_cycle_, "PbsServer::save_state: cannot snapshot mid-cycle");
     SavedState s;
     s.table = jobs_.save();
-    s.nodes = nodes_;
-    s.cpu_owner = cpu_owner_;
+    s.nodes = nodes_.save();
     s.eligible_order = eligible_.keys();
     s.stats = stats_;
     s.version = version_;
-    s.free_cpu_agg = free_cpu_agg_;
-    s.fit = fit_;
-    s.idle = idle_;
     s.dirty_nodes = dirty_nodes_;
     s.dirty_job_seqs = dirty_job_seqs_;
     s.removed_job_seqs = removed_job_seqs_;
@@ -737,19 +613,13 @@ PbsServer::SavedState PbsServer::save_state() const {
 
 void PbsServer::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "PbsServer::restore_state: cannot restore mid-cycle");
-    nodes_ = s.nodes;
-    cpu_owner_ = s.cpu_owner;
+    nodes_.restore(s.nodes);
     jobs_.restore(s.table);
     eligible_.relink(s.eligible_order, [this](std::uint64_t seq) { return jobs_.find(seq); });
     in_cycle_ = false;
     cycle_again_ = false;
     stats_ = s.stats;
     version_ = s.version;
-    free_cpu_agg_ = s.free_cpu_agg;
-    fit_ = s.fit;
-    idle_ = s.idle;
-    idle_cache_.clear();
-    idle_cache_version_ = ~0ull;  // derived cache: rebuilt lazily on demand
     dirty_nodes_ = s.dirty_nodes;
     dirty_job_seqs_ = s.dirty_job_seqs;
     removed_job_seqs_ = s.removed_job_seqs;

@@ -5,15 +5,16 @@
 // (pbsnodes / qstat -f) the detector scrapes because "PBS does not provide
 // APIs for other programs".
 //
-// State is indexed for 100k-node / million-job scale: node lookups go
-// through hash maps (never a pointer scan); jobs live in a util::JobWindow
-// keyed by their integer sequence number, never by the id string, so every
-// seq-ordered walk is a table walk; placement walks a bitset fit index (one
-// util::IndexBitset per free-CPU threshold) in ascending record order
-// instead of every record; the scheduler walks a util::IntrusiveFifo of the
-// eligible queued jobs only; and the text layer re-renders just the stanzas
-// whose backing state moved (see util::TextDocument and DESIGN.md "Indexed
-// scheduler state"). HpcScheduler keeps its jobs in the same two templates.
+// State is indexed for 100k-node / million-job scale: the nodes live in a
+// cluster::NodeTable (name index, CPU owners, fit levels, idle set and free
+// total), and placement walks the fit level for ppn in ascending record
+// order instead of every record; jobs live in a util::JobWindow keyed by
+// their integer sequence number, never by the id string, so every
+// seq-ordered walk is a table walk; the scheduler walks a
+// util::IntrusiveFifo of the eligible queued jobs only; and the text layer
+// re-renders just the stanzas whose backing state moved (see
+// util::TextDocument and DESIGN.md "Indexed scheduler state").
+// HpcScheduler keeps its nodes and jobs in the same three templates.
 #pragma once
 
 #include <cstdint>
@@ -21,17 +22,14 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "cluster/node.hpp"
+#include "cluster/node_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pbs/job.hpp"
 #include "pbs/job_script.hpp"
 #include "sim/engine.hpp"
-#include "util/index_bitset.hpp"
 #include "util/intrusive_fifo.hpp"
 #include "util/job_window.hpp"
 #include "util/result.hpp"
@@ -49,20 +47,10 @@ enum class NodeState {
 
 [[nodiscard]] const char* node_state_name(NodeState s);
 
-/// Per-node bookkeeping. The record's CPU owners are the `np` slots of the
-/// server's one owner array starting at `cpu_begin` (PbsServer::cpu_owners).
-struct NodeRecord {
-    cluster::Node* node = nullptr;
-    std::size_t cpu_begin = 0;  ///< first slot in the server's owner array
-    int np = 0;                 ///< CPU slots, the node's np
-
-    // Incrementally maintained by the server (allocate/release/up/down), so
-    // free_cpus() and the placement scan never re-count the owner slots.
-    int free_count = 0;       ///< cached number of empty owner slots
-    /// Number of fit-index levels holding this record: free_count while
-    /// schedulable, else 0. The record is in fit level p for p <= fit_level.
-    int fit_level = 0;
-    bool in_free_agg = false;  ///< contributing to the server's free-CPU total
+/// Per-node bookkeeping: the node table's part (CPU owners, free count,
+/// fit level; counted = schedulable, i.e. up, Linux and not offline) plus
+/// what only PBS keeps.
+struct NodeRecord : cluster::NodeSlot {
     bool offline = false;      ///< admin flag (pbsnodes -o)
     bool text_dirty = false;   ///< stanza needs re-rendering
 
@@ -74,8 +62,6 @@ struct NodeRecord {
     std::int64_t last_report_unix = 0;
     std::vector<std::string> properties{"all"};
 
-    [[nodiscard]] int free_cpus() const { return free_count; }
-    [[nodiscard]] int used_cpus() const { return np - free_count; }
     [[nodiscard]] bool reachable() const;  ///< node up and running Linux
     [[nodiscard]] NodeState state() const;
     [[nodiscard]] bool has_properties(const std::vector<std::string>& required) const;
@@ -171,10 +157,10 @@ public:
     [[nodiscard]] std::vector<const Job*> running_jobs() const;
     [[nodiscard]] std::vector<const Job*> all_jobs() const;
 
-    [[nodiscard]] const std::vector<NodeRecord>& node_records() const { return nodes_; }
+    [[nodiscard]] const std::vector<NodeRecord>& node_records() const { return nodes_.records(); }
     /// The owning Job::seq of each of the record's CPU slots (0 = free).
     [[nodiscard]] std::span<const std::uint64_t> cpu_owners(const NodeRecord& rec) const {
-        return {cpu_owner_.data() + rec.cpu_begin, static_cast<std::size_t>(rec.np)};
+        return nodes_.owners(rec);
     }
     /// Append the job's exec_host, "host/3+host/2+..." as qstat -f prints it
     /// (Fig 8): for each record it holds, in placement order, the CPUs it
@@ -185,13 +171,15 @@ public:
     [[nodiscard]] int exec_node_index(const Job& job, std::size_t i) const {
         return nodes_[static_cast<std::size_t>(job.exec_records.span()[i])].node->index();
     }
-    [[nodiscard]] int total_cpus() const { return total_cpus_; }
+    [[nodiscard]] int total_cpus() const { return nodes_.total_cpus(); }
     /// Free CPUs across schedulable (up, Linux, not offline) nodes. O(1):
     /// maintained incrementally on allocate/release and node transitions.
-    [[nodiscard]] int free_cpus() const { return free_cpu_agg_; }
-    /// Nodes in kFree with *all* cpus idle — candidates for an OS switch.
-    /// Materialised from the incrementally maintained idle-node set.
-    [[nodiscard]] const std::vector<const NodeRecord*>& fully_idle_nodes() const;
+    [[nodiscard]] int free_cpus() const { return nodes_.free_cpus(); }
+    /// Nodes in kFree with *all* cpus idle — candidates for an OS switch,
+    /// listed from the node table's idle set.
+    [[nodiscard]] std::vector<const NodeRecord*> fully_idle_nodes() const {
+        return nodes_.idle_records();
+    }
 
     /// Monotonic mutation counter: bumps on every externally visible state
     /// change (job lifecycle, node transitions, admin commands). The text
@@ -272,28 +260,21 @@ private:
     /// Fill placement_ with the records `job` would run on; false when it
     /// does not fit now.
     [[nodiscard]] bool try_place(const Job& job);
-    /// Index of the record for `node`, or npos when not attached. O(1).
-    /// Only attach_node and the consistency check need it.
-    [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
     void request_cycle();
 
     /// Bump the mutation counter.
     void mark_mutation();
-    /// Adjust a record's free count by `delta`, keep the aggregate exact,
-    /// and update candidate-set membership + the node's dirty stanza.
-    void adjust_free(std::size_t idx, int delta);
-    /// Add/remove the record from the free-CPU aggregate (idempotent).
+    /// Count the record as schedulable when `schedulable` and not offline
+    /// (idempotent), and dirty its stanza.
     void set_schedulable(std::size_t idx, bool schedulable);
-    /// Recompute fit-index and idle-set membership from the record's counters.
-    void update_node_sets(std::size_t idx);
     /// Mark the node's stanza dirty and refresh its report timestamp.
     void touch_node(std::size_t idx);
     /// Mark the job's qstat -f stanza dirty.
     void touch_job(Job& job);
 
-    /// Brute-force recount of free counts, aggregates, set memberships, the
-    /// eligible list, and chunk freshness; throws on divergence from the
-    /// incremental state (consistency-check hook).
+    /// Brute-force check of the node table, the placements, the eligible
+    /// list and chunk freshness; throws on divergence from the incremental
+    /// state (consistency-check hook).
     void verify_incremental_state() const;
     [[nodiscard]] std::optional<std::vector<int>> try_place_bruteforce(const Job& job) const;
 
@@ -307,13 +288,9 @@ private:
 
     sim::Engine& engine_;
     PbsServerConfig config_;
-    std::vector<NodeRecord> nodes_;
-    /// Owning Job::seq of every CPU slot (0 = free); record r owns the
-    /// nodes_[r].np slots from nodes_[r].cpu_begin.
-    std::vector<std::uint64_t> cpu_owner_;
-    std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
-    /// hostname/short → record; the keys view each node's own hostname().
-    std::unordered_map<std::string_view, std::size_t> name_index_;
+    /// CPU owners hold Job::seq. Placement walks fit level ppn in ascending
+    /// record order, the order of a full scan.
+    cluster::NodeTable<NodeRecord> nodes_;
     using JobTable = util::JobWindow<Job, &Job::seq>;
     using EligibleQueue = util::IntrusiveFifo<Job, &Job::queue_link, &Job::seq>;
 
@@ -332,18 +309,7 @@ private:
     obs::TrackId obs_track_{};  ///< "pbs/sched" trace row
 
     std::uint64_t version_ = 0;     ///< monotonic mutation counter
-    int total_cpus_ = 0;
-    int free_cpu_agg_ = 0;          ///< free CPUs on schedulable nodes
     bool consistency_checks_ = false;
-
-    // Fit index: fit_[p - 1] holds the schedulable records with
-    // free_count >= p, so a job needing ppn cpus per node walks only
-    // fit_[ppn - 1], in the same ascending-index order as the original full
-    // scan. idle_ holds the schedulable records with every cpu free.
-    std::vector<util::IndexBitset> fit_;
-    util::IndexBitset idle_;
-    mutable std::vector<const NodeRecord*> idle_cache_;
-    mutable std::uint64_t idle_cache_version_ = ~0ull;
 
     // Dirty stanzas awaiting re-render (consumed by refresh_documents).
     mutable std::vector<int> dirty_nodes_;
@@ -368,25 +334,22 @@ public:
     /// mutable field — the job table (its seq window, retention queue and
     /// deep copies of the unpurged records, which carry their pending
     /// completion/walltime EventIds and placement record indices but no
-    /// queue links), the eligible-queue order, node records, the CPU owner
-    /// array, index sets, the incremental text documents and their dirty
-    /// lists — so a restore resumes byte-identically, including the
-    /// qstat/pbsnodes document versions the detector streams against.
-    /// Node/name indices and subscribers are construction wiring and are left
-    /// untouched; node records point into the nodes (NodeRecord::node), so a
+    /// queue links), the eligible-queue order, the node table (records, CPU
+    /// owners, fit levels, idle set, free total), the incremental text
+    /// documents and their dirty lists — so a restore resumes
+    /// byte-identically, including the qstat/pbsnodes document versions the
+    /// detector streams against. The name index and subscribers are
+    /// construction wiring and are left untouched; node records point into
+    /// the nodes (NodeRecord::node), so a
     /// snapshot is restored only into the world that took it. Must be
     /// taken/restored outside a scheduler cycle, paired with an
     /// Engine::restore() of the calendar the EventIds point into.
     struct SavedState {
         JobTable::Saved table;  ///< seqs [base, next), unpurged records in seq order
-        std::vector<NodeRecord> nodes;
-        std::vector<std::uint64_t> cpu_owner;
+        cluster::NodeTable<NodeRecord>::Saved nodes;
         std::vector<std::uint64_t> eligible_order;  ///< head→tail seq list
         ServerStats stats;
         std::uint64_t version = 0;
-        int free_cpu_agg = 0;
-        std::vector<util::IndexBitset> fit;
-        util::IndexBitset idle;
         std::vector<int> dirty_nodes;
         std::vector<std::uint64_t> dirty_job_seqs;
         std::vector<std::uint64_t> removed_job_seqs;

@@ -211,7 +211,7 @@ std::string PbsServer::debug_full_render_pbsnodes() const {
     // no dirty tracking. The churn test compares this byte-for-byte against
     // the incremental assembly.
     std::string out;
-    for (const auto& rec : nodes_) render_node_stanza(rec, out);
+    for (const auto& rec : nodes_.records()) render_node_stanza(rec, out);
     return out;
 }
 

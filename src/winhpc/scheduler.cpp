@@ -41,7 +41,7 @@ bool HpcNodeRecord::reachable() const {
 
 HpcNodeState HpcNodeRecord::state() const {
     if (!reachable()) return HpcNodeState::kUnreachable;
-    if (admin_offline) return used_cores() > 0 ? HpcNodeState::kDraining : HpcNodeState::kOffline;
+    if (admin_offline) return used_cpus() > 0 ? HpcNodeState::kDraining : HpcNodeState::kOffline;
     return HpcNodeState::kOnline;
 }
 
@@ -52,101 +52,29 @@ HpcScheduler::HpcScheduler(sim::Engine& engine, HpcSchedulerConfig config)
     obs_track_ = hub.tracer().track("winhpc/sched");
     hub.metrics().add_provider([this](obs::Registry& reg) {
         reg.gauge("winhpc.queue.depth").set(static_cast<double>(queue_.size()));
-        reg.gauge("winhpc.free_cores").set(static_cast<double>(free_core_agg_));
+        reg.gauge("winhpc.free_cores").set(static_cast<double>(nodes_.free_cpus()));
         reg.gauge("winhpc.jobs.started").set(static_cast<double>(stats_.started));
         reg.gauge("winhpc.jobs.finished").set(static_cast<double>(stats_.finished));
     });
 }
 
-std::size_t HpcScheduler::record_index_for(const Node& node) const {
-    auto it = node_index_.find(&node);
-    return it == node_index_.end() ? static_cast<std::size_t>(-1) : it->second;
-}
-
 void HpcScheduler::attach_node(Node& node) {
-    util::require(record_index_for(node) == static_cast<std::size_t>(-1),
-                  "HpcScheduler::attach_node: already attached");
-    const std::size_t idx = nodes_.size();
-    HpcNodeRecord rec;
-    rec.node = &node;
-    rec.node_template = config_.node_template;
-    rec.core_owner.assign(static_cast<std::size_t>(node.np()), 0);
-    rec.free_count = node.np();
-    nodes_.push_back(std::move(rec));
-    node_index_[&node] = idx;
-    // Both keys view the node's own hostname: the short name is its prefix
-    // up to the first dot, so attaching allocates no key strings.
-    const std::string_view fqdn = node.hostname();
-    name_index_[fqdn] = idx;
-    name_index_[fqdn.substr(0, fqdn.find('.'))] = idx;
-    total_cores_ += node.np();
+    const std::size_t idx = nodes_.attach(node, {});
     update_node_state(idx);
     node.on_up([this, idx](Node&, OsType os) { handle_node_up(idx, os); });
     node.on_down([this, idx](Node&) { handle_node_down(idx); });
 }
 
 void HpcScheduler::update_node_state(std::size_t idx) {
-    HpcNodeRecord& rec = nodes_[idx];
     // Online == reachable and not admin-paused; Draining/Offline/Unreachable
     // nodes neither count free cores nor accept placements.
-    const bool online = rec.reachable() && !rec.admin_offline;
-    if (online != rec.in_online_agg) {
-        rec.in_online_agg = online;
-        free_core_agg_ += online ? rec.free_count : -rec.free_count;
-    }
-    if (online && rec.free_count > 0)
-        free_.set(idx);
-    else
-        free_.reset(idx);
-    if (online && rec.used_cores() == 0)
-        idle_.set(idx);
-    else
-        idle_.reset(idx);
-}
-
-void HpcScheduler::adjust_free(std::size_t idx, int delta) {
-    HpcNodeRecord& rec = nodes_[idx];
-    rec.free_count += delta;
-    util::ensure(rec.free_count >= 0 &&
-                     rec.free_count <= static_cast<int>(rec.core_owner.size()),
-                 "HpcScheduler::adjust_free: free count out of range");
-    if (rec.in_online_agg) free_core_agg_ += delta;
-    update_node_state(idx);
+    const HpcNodeRecord& rec = nodes_[idx];
+    nodes_.set_counted(idx, rec.reachable() && !rec.admin_offline);
 }
 
 void HpcScheduler::verify_incremental_state() const {
-    int agg = 0;
-    int total = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const HpcNodeRecord& rec = nodes_[i];
-        int free = 0;
-        for (int owner : rec.core_owner)
-            if (owner == 0) ++free;
-        util::ensure(free == rec.free_count,
-                     "consistency: cached free count diverged from core_owner");
-        const bool online = rec.reachable() && !rec.admin_offline;
-        util::ensure(rec.in_online_agg == online,
-                     "consistency: in_online_agg diverged from node state");
-        util::ensure(online == (rec.state() == HpcNodeState::kOnline),
-                     "consistency: online predicate diverged from state()");
-        if (online) agg += free;
-        total += static_cast<int>(rec.core_owner.size());
-        auto pit = node_index_.find(rec.node);
-        util::ensure(pit != node_index_.end() && pit->second == i,
-                     "consistency: node_index_ diverged");
-        auto nit = name_index_.find(rec.node->hostname());
-        util::ensure(nit != name_index_.end() && nit->second == i,
-                     "consistency: name_index_ diverged");
-        util::ensure(free_.test(i) == (online && free > 0),
-                     "consistency: free-node bitset membership diverged");
-        util::ensure(idle_.test(i) == (online && free == static_cast<int>(rec.core_owner.size())),
-                     "consistency: idle-node bitset membership diverged");
-    }
-    util::ensure(free_.next(nodes_.size()) == util::IndexBitset::npos &&
-                     idle_.next(nodes_.size()) == util::IndexBitset::npos,
-                 "consistency: candidate bit set past the last record");
-    util::ensure(agg == free_core_agg_, "consistency: free-core aggregate diverged");
-    util::ensure(total == total_cores_, "consistency: total-core count diverged");
+    // state() is the brute-force Online predicate update_node_state mirrors.
+    nodes_.verify([](const HpcNodeRecord& rec) { return rec.state() == HpcNodeState::kOnline; });
 
     // Beyond their own checks: retired jobs have ended, queued ones are linked.
     jobs_.verify([](const HpcJob& job) {
@@ -222,19 +150,11 @@ std::vector<const HpcJob*> HpcScheduler::get_jobs(std::optional<HpcJobState> fil
     return out;
 }
 
-std::vector<const HpcNodeRecord*> HpcScheduler::fully_idle_nodes() const {
-    std::vector<const HpcNodeRecord*> out;
-    out.reserve(idle_.count());
-    for (std::size_t i = idle_.next(0); i != util::IndexBitset::npos; i = idle_.next(i + 1))
-        out.push_back(&nodes_[i]);
-    return out;
-}
-
 Status HpcScheduler::set_node_online(const std::string& name, bool online) {
-    auto it = name_index_.find(name);
-    if (it == name_index_.end()) return Error{"unknown node: " + name};
-    nodes_[it->second].admin_offline = !online;
-    update_node_state(it->second);
+    const std::size_t idx = nodes_.find(name);
+    if (idx == nodes_.npos) return Error{"unknown node: " + name};
+    nodes_[idx].admin_offline = !online;
+    update_node_state(idx);
     if (online) schedule_cycle();
     return Status::ok_status();
 }
@@ -244,23 +164,25 @@ void HpcScheduler::on_job_terminal(std::function<void(const HpcJob&)> fn) {
 }
 
 bool HpcScheduler::try_place(const HpcJob& job) {
-    // Candidates come from the incrementally maintained bitsets (ascending
-    // index, the same visit order as a full scan): node-unit jobs want fully
-    // idle Online nodes, core-unit jobs accumulate free cores.
+    // Candidates come from the node table's sets (ascending index, the same
+    // visit order as a full scan): node-unit jobs want fully idle Online
+    // nodes, core-unit jobs accumulate free cores from fit level 1.
     constexpr std::size_t npos = util::IndexBitset::npos;
     std::vector<int>& chosen = placement_;
     chosen.clear();
     if (job.unit == JobUnitType::kNode) {
-        for (std::size_t i = idle_.next(0); i != npos; i = idle_.next(i + 1)) {
+        const util::IndexBitset& idle = nodes_.idle();
+        for (std::size_t i = idle.next(0); i != npos; i = idle.next(i + 1)) {
             chosen.push_back(static_cast<int>(i));
             if (static_cast<int>(chosen.size()) == job.min_resources) return true;
         }
         return false;
     }
     int cores_found = 0;
-    for (std::size_t i = free_.next(0); i != npos; i = free_.next(i + 1)) {
+    const util::IndexBitset& free = nodes_.fit(1);
+    for (std::size_t i = free.next(0); i != npos; i = free.next(i + 1)) {
         chosen.push_back(static_cast<int>(i));
-        cores_found += nodes_[i].free_cores();
+        cores_found += nodes_[i].free_cpus();
         if (cores_found >= job.min_resources) return true;
     }
     return false;
@@ -268,15 +190,16 @@ bool HpcScheduler::try_place(const HpcJob& job) {
 
 std::optional<std::vector<int>> HpcScheduler::try_place_bruteforce(const HpcJob& job) const {
     // The pre-optimization placement logic, kept as the reference for the
-    // consistency-check hook: recounts core_owner and re-derives state().
+    // consistency-check hook: recounts the core owners and re-derives state().
     std::vector<int> chosen;
+    const auto free_of = [this](const HpcNodeRecord& rec) {
+        const auto owners = nodes_.owners(rec);
+        return static_cast<int>(std::count(owners.begin(), owners.end(), std::uint64_t{0}));
+    };
     if (job.unit == JobUnitType::kNode) {
         for (std::size_t i = 0; i < nodes_.size(); ++i) {
             const HpcNodeRecord& rec = nodes_[i];
-            int used = 0;
-            for (int owner : rec.core_owner)
-                if (owner != 0) ++used;
-            if (rec.state() != HpcNodeState::kOnline || used > 0) continue;
+            if (rec.state() != HpcNodeState::kOnline || free_of(rec) < rec.np) continue;
             chosen.push_back(static_cast<int>(i));
             if (static_cast<int>(chosen.size()) == job.min_resources) return chosen;
         }
@@ -285,9 +208,7 @@ std::optional<std::vector<int>> HpcScheduler::try_place_bruteforce(const HpcJob&
     int cores_found = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const HpcNodeRecord& rec = nodes_[i];
-        int free = 0;
-        for (int owner : rec.core_owner)
-            if (owner == 0) ++free;
+        const int free = free_of(rec);
         if (rec.state() != HpcNodeState::kOnline || free == 0) continue;
         chosen.push_back(static_cast<int>(i));
         cores_found += free;
@@ -317,8 +238,8 @@ void HpcScheduler::schedule_cycle() {
             // the stuck steady state.
             const bool may_fit =
                 job->unit == JobUnitType::kNode
-                    ? job->min_resources <= static_cast<int>(idle_.count())
-                    : job->min_resources <= free_core_agg_;
+                    ? job->min_resources <= static_cast<int>(nodes_.idle().count())
+                    : job->min_resources <= nodes_.free_cpus();
             const bool placed = may_fit && try_place(*job);
             if (consistency_checks_) {
                 const auto reference = try_place_bruteforce(*job);
@@ -349,23 +270,18 @@ void HpcScheduler::start_job(HpcJob& job) {
     job.state = HpcJobState::kRunning;
     job.start_unix = engine_.unix_now();
     ++running_count_;
+    // A node-unit job takes every core of its idle nodes; a core-unit job
+    // takes the lowest free cores until it has min_resources.
     int cores_needed = job.unit == JobUnitType::kCore ? job.min_resources : 0;
-    for (int idx : placement_) {
-        HpcNodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        int to_take = job.unit == JobUnitType::kNode
-                          ? static_cast<int>(rec.core_owner.size())
-                          : std::min(cores_needed, rec.free_cores());
-        const int taking = to_take;
-        for (std::size_t c = 0; c < rec.core_owner.size() && to_take > 0; ++c) {
-            if (rec.core_owner[c] != 0) continue;
-            rec.core_owner[c] = job.id;
-            --to_take;
-            if (job.unit == JobUnitType::kCore) --cores_needed;
-        }
-        adjust_free(static_cast<std::size_t>(idx), -(taking - to_take));
-        job.allocated_node_indices.push_back(rec.node->index());
-        job.allocated_record_indices.push_back(idx);
+    for (const int r : placement_) {
+        const auto idx = static_cast<std::size_t>(r);
+        const int want = job.unit == JobUnitType::kNode ? nodes_[idx].np : cores_needed;
+        const int taken = nodes_.take(idx, static_cast<std::uint64_t>(job.id), want,
+                                      cluster::CpuOrder::kLowFirst);
+        if (job.unit == JobUnitType::kCore) cores_needed -= taken;
+        update_node_state(idx);
     }
+    job.allocated_records.assign(placement_);
     ++stats_.started;
     if (engine_.logger().enabled(util::LogLevel::kDebug))
         engine_.logger().debug("winhpc/" + config_.cluster_name,
@@ -383,7 +299,7 @@ void HpcScheduler::start_job(HpcJob& job) {
         // booked core (core unit); each finishing task pulls the next.
         const int lanes = std::min(static_cast<int>(job.tasks.size()),
                                    job.unit == JobUnitType::kNode
-                                       ? static_cast<int>(job.allocated_node_indices.size())
+                                       ? static_cast<int>(job.allocated_records.span().size())
                                        : job.min_resources);
         job.next_task_index = 0;
         for (int lane = 0; lane < lanes; ++lane) launch_next_task(job.id);
@@ -427,20 +343,13 @@ void HpcScheduler::launch_next_task(int job_id) {
 
 void HpcScheduler::release_allocation(HpcJob& job) {
     // O(allocated): only the records the job actually ran on are touched,
-    // instead of rescanning every core_owner vector in the cluster.
-    for (int idx : job.allocated_record_indices) {
-        HpcNodeRecord& rec = nodes_[static_cast<std::size_t>(idx)];
-        int freed = 0;
-        for (auto& owner : rec.core_owner) {
-            if (owner == job.id) {
-                owner = 0;
-                ++freed;
-            }
-        }
-        if (freed > 0) adjust_free(static_cast<std::size_t>(idx), freed);
+    // instead of rescanning every core owner in the cluster.
+    for (const int r : job.allocated_records.span()) {
+        const auto idx = static_cast<std::size_t>(r);
+        if (nodes_.release(idx, static_cast<std::uint64_t>(job.id), nodes_[idx].np) > 0)
+            update_node_state(idx);
     }
-    job.allocated_node_indices.clear();
-    job.allocated_record_indices.clear();
+    job.allocated_records.clear();
 }
 
 void HpcScheduler::cancel_timers(HpcJob& job) {
@@ -502,15 +411,14 @@ void HpcScheduler::handle_node_up(std::size_t idx, OsType os) {
 }
 
 void HpcScheduler::handle_node_down(std::size_t idx) {
-    HpcNodeRecord& rec = nodes_[idx];
     // Drop the node from the free-core aggregate *before* releasing victim
     // allocations, so the frees below don't count toward Online cores.
     update_node_state(idx);
-    std::vector<int> victims;
-    for (int owner : rec.core_owner)
+    std::vector<std::uint64_t> victims;
+    for (const std::uint64_t owner : nodes_.owners(nodes_[idx]))
         if (owner != 0 && std::find(victims.begin(), victims.end(), owner) == victims.end())
             victims.push_back(owner);
-    for (int id : victims) {
+    for (const std::uint64_t id : victims) {
         HpcJob* job = jobs_.find(id);
         if (job == nullptr || job->state != HpcJobState::kRunning) continue;
         if (job->rerun_on_failure) {
@@ -525,12 +433,11 @@ void HpcScheduler::handle_node_down(std::size_t idx) {
 
 std::string HpcScheduler::node_list_output() const {
     std::string out = "Node Name        State         Cores In Use  Template\n";
-    for (const auto& rec : nodes_) {
+    for (const auto& rec : nodes_.records()) {
         char line[160];
         std::snprintf(line, sizeof line, "%-16s %-13s %5d %6d  %s\n",
-                      rec.node->short_name().c_str(), hpc_node_state_name(rec.state()),
-                      static_cast<int>(rec.core_owner.size()), rec.used_cores(),
-                      rec.node_template.c_str());
+                      rec.node->short_name().c_str(), hpc_node_state_name(rec.state()), rec.np,
+                      rec.used_cpus(), config_.node_template.c_str());
         out += line;
     }
     return out;
@@ -540,25 +447,19 @@ HpcScheduler::SavedState HpcScheduler::save_state() const {
     util::require(!in_cycle_, "HpcScheduler::save_state: cannot snapshot mid-cycle");
     SavedState s;
     s.table = jobs_.save();
-    s.nodes = nodes_;
+    s.nodes = nodes_.save();
     s.queue_order = queue_.keys();
     s.running_count = running_count_;
-    s.free_core_agg = free_core_agg_;
-    s.free = free_;
-    s.idle = idle_;
     s.stats = stats_;
     return s;
 }
 
 void HpcScheduler::restore_state(const SavedState& s) {
     util::require(!in_cycle_, "HpcScheduler::restore_state: cannot restore mid-cycle");
-    nodes_ = s.nodes;
+    nodes_.restore(s.nodes);
     jobs_.restore(s.table);
     queue_.relink(s.queue_order, [this](int id) { return jobs_.find(id); });
     running_count_ = s.running_count;
-    free_core_agg_ = s.free_core_agg;
-    free_ = s.free;
-    idle_ = s.idle;
     in_cycle_ = false;
     cycle_again_ = false;
     stats_ = s.stats;

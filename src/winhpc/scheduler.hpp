@@ -7,24 +7,23 @@
 // it directly, preserving the paper's asymmetry with the text-scraping PBS
 // detector.
 //
-// State is kept in PbsServer's shapes: jobs in a util::JobWindow keyed by id
-// (ended jobs past completed_retention are purged), a running job's pending
-// timers on the job itself, placement candidates in util::IndexBitset sets
-// walked in ascending record order, and a util::IntrusiveFifo of the queued
-// jobs (see DESIGN.md "Indexed scheduler state").
+// State is kept in PbsServer's shapes: nodes in a cluster::NodeTable whose
+// fit level 1 and idle set are the core-unit and node-unit placement
+// candidates, walked in ascending record order; jobs in a util::JobWindow
+// keyed by id (ended jobs past completed_retention are purged), with a
+// running job's pending timers on the job itself; and a util::IntrusiveFifo
+// of the queued jobs (see DESIGN.md "Indexed scheduler state").
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "cluster/node.hpp"
+#include "cluster/node_table.hpp"
 #include "sim/engine.hpp"
-#include "util/index_bitset.hpp"
 #include "util/intrusive_fifo.hpp"
 #include "util/job_window.hpp"
 #include "util/result.hpp"
@@ -99,8 +98,9 @@ struct HpcJob {
     std::int64_t submit_unix = 0;
     std::int64_t start_unix = 0;
     std::int64_t end_unix = 0;
-    std::vector<int> allocated_node_indices;    ///< cluster node indices allocated
-    std::vector<int> allocated_record_indices;  ///< scheduler records (release fast path)
+    /// Node records held while running, in placement order (the node of
+    /// record r is HpcScheduler::node_records()[r].node).
+    cluster::RecordList allocated_records;
     int requeue_count = 0;
     sim::Duration run_time{};
     std::vector<HpcTask> tasks;   ///< empty for implicit single-activity jobs
@@ -131,22 +131,11 @@ struct HpcJob {
 /// The queued jobs in id order; walk from HpcScheduler::first_queued_job().
 using HpcJobQueue = util::IntrusiveFifo<HpcJob, &HpcJob::queue_link, &HpcJob::id>;
 
-/// Per-node record as the HPC management service sees it.
-struct HpcNodeRecord {
-    cluster::Node* node = nullptr;
+/// Per-node record as the HPC management service sees it: the node table's
+/// part (core owners hold job ids; counted = Online) plus the admin flag.
+struct HpcNodeRecord : cluster::NodeSlot {
     bool admin_offline = false;
-    std::string node_template = "Eridani Compute";
-    std::vector<int> core_owner;  ///< job id per core (0 = free)
 
-    // Incrementally maintained by the scheduler, so core queries and the
-    // placement scan never re-count core_owner.
-    int free_count = 0;         ///< cached number of zero core_owner slots
-    bool in_online_agg = false; ///< contributing to the free-core aggregate
-
-    [[nodiscard]] int free_cores() const { return free_count; }
-    [[nodiscard]] int used_cores() const {
-        return static_cast<int>(core_owner.size()) - free_count;
-    }
     [[nodiscard]] bool reachable() const;  ///< up and running Windows
     [[nodiscard]] HpcNodeState state() const;
 };
@@ -198,14 +187,24 @@ public:
     [[nodiscard]] int running_job_count() const { return static_cast<int>(running_count_); }
     [[nodiscard]] const HpcJob* first_queued_job() const { return queue_.head(); }
 
-    [[nodiscard]] const std::vector<HpcNodeRecord>& node_records() const { return nodes_; }
-    [[nodiscard]] int total_cores() const { return total_cores_; }
+    [[nodiscard]] const std::vector<HpcNodeRecord>& node_records() const {
+        return nodes_.records();
+    }
+    /// The owning HpcJob::id of each of the record's cores (0 = free).
+    [[nodiscard]] std::span<const std::uint64_t> core_owners(const HpcNodeRecord& rec) const {
+        return nodes_.owners(rec);
+    }
+    [[nodiscard]] int total_cores() const { return nodes_.total_cpus(); }
     /// Free cores across Online nodes. O(1): incrementally maintained.
-    [[nodiscard]] int free_cores() const { return free_core_agg_; }
+    [[nodiscard]] int free_cores() const { return nodes_.free_cpus(); }
     /// Online nodes with zero allocation — OS-switch candidates.
-    [[nodiscard]] std::vector<const HpcNodeRecord*> fully_idle_nodes() const;
+    [[nodiscard]] std::vector<const HpcNodeRecord*> fully_idle_nodes() const {
+        return nodes_.idle_records();
+    }
     /// O(1) count of the above (the detector only needs the number).
-    [[nodiscard]] int fully_idle_count() const { return static_cast<int>(idle_.count()); }
+    [[nodiscard]] int fully_idle_count() const {
+        return static_cast<int>(nodes_.idle().count());
+    }
 
     [[nodiscard]] util::Status set_node_online(const std::string& name, bool online);
 
@@ -243,33 +242,20 @@ private:
     /// does not fit now.
     [[nodiscard]] bool try_place(const HpcJob& job);
     [[nodiscard]] std::optional<std::vector<int>> try_place_bruteforce(const HpcJob& job) const;
-    /// Index of the record for `node`, or npos when not attached. O(1).
-    /// Only attach_node and the consistency check need it.
-    [[nodiscard]] std::size_t record_index_for(const cluster::Node& node) const;
-    /// Adjust a record's cached free count and the Online aggregate.
-    void adjust_free(std::size_t idx, int delta);
-    /// Re-evaluate the record's Online membership and bitset memberships
-    /// after a reachability / admin / allocation change.
+    /// Re-evaluate whether the record counts as Online after a reachability,
+    /// admin or allocation change.
     void update_node_state(std::size_t idx);
     void verify_incremental_state() const;
 
     sim::Engine& engine_;
     HpcSchedulerConfig config_;
-    std::vector<HpcNodeRecord> nodes_;
-    std::unordered_map<const cluster::Node*, std::size_t> node_index_;  ///< ptr → record
-    /// hostname/short → record; the keys view each node's own hostname().
-    std::unordered_map<std::string_view, std::size_t> name_index_;
+    cluster::NodeTable<HpcNodeRecord> nodes_;  ///< core owners hold HpcJob::id
     using JobTable = util::JobWindow<HpcJob, &HpcJob::id>;
 
     JobTable jobs_;  ///< every unpurged job; next_key() is the next id to issue
     HpcJobQueue queue_;  ///< kQueued jobs, id order
     std::vector<int> placement_;  ///< try_place's result; keeps its capacity
     std::size_t running_count_ = 0;
-
-    int total_cores_ = 0;
-    int free_core_agg_ = 0;  ///< free cores on Online nodes
-    util::IndexBitset free_;  ///< Online, free_cores > 0 (core-unit candidates)
-    util::IndexBitset idle_;  ///< Online, used_cores == 0 (node-unit candidates)
     bool consistency_checks_ = false;
 
     std::vector<std::function<void(const HpcJob&)>> terminal_subscribers_;
@@ -282,17 +268,13 @@ private:
 public:
     /// World-snapshot hook, mirroring PbsServer::SavedState: the job table
     /// (deep copies of the unpurged jobs carry their pending EventIds but no
-    /// queue links), the queued-list order, node records and the candidate
-    /// bitsets. Pair with Engine::restore() of the calendar the ids point
-    /// into.
+    /// queue links), the queued-list order and the node table. Pair with
+    /// Engine::restore() of the calendar the ids point into.
     struct SavedState {
         JobTable::Saved table;  ///< ids [base, next), unpurged records in id order
-        std::vector<HpcNodeRecord> nodes;
+        cluster::NodeTable<HpcNodeRecord>::Saved nodes;
         std::vector<int> queue_order;  ///< head→tail job-id list
         std::size_t running_count = 0;
-        int free_core_agg = 0;
-        util::IndexBitset free;
-        util::IndexBitset idle;
         HpcStats stats;
     };
     [[nodiscard]] SavedState save_state() const;

@@ -164,12 +164,12 @@ TEST(AllocBudget, ResultValueOnSuccessAllocatesNothing) {
 }
 
 /// Allocations per job in the steady WinHPC submit→finish cycle below, at
-/// completed_retention 16, measured at 3.03: the record and its two
-/// allocation vectors (cluster node indices and scheduler record indices);
-/// try_place fills the scheduler's reused placement buffer. The deque blocks
-/// of the job table and the retention queue add about one per 64 jobs each
-/// (the 0.03); the budget allows twice that, as on PBS.
-constexpr double kWinHpcBudgetPerJob = 3 + 2.0 / 32;
+/// completed_retention 16, measured at 1.03: the record. Its allocation is
+/// one cluster::RecordList, inline for one node, and try_place fills the
+/// scheduler's reused placement buffer. The deque blocks of the job table
+/// and the retention queue add about one per 64 jobs each (the 0.03); the
+/// budget allows twice that, as on PBS.
+constexpr double kWinHpcBudgetPerJob = 1 + 2.0 / 32;
 
 TEST(AllocBudget, SteadyWinHpcJobLifecycle) {
 #ifdef HC_TEST_SANITIZED

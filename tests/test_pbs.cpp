@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -377,6 +378,36 @@ TEST_F(PbsFixture, OfflineNodeNotScheduled) {
     EXPECT_FALSE(server.set_node_offline("enode99", true).ok());
 }
 
+// Attaching a node twice, or a second node whose FQDN or short name is
+// already indexed, is refused and changes nothing: the later node must not
+// take over a name, or pbsnodes -o would act on it instead of the first.
+TEST_F(PbsFixture, AttachRefusesTheSameNodeAndCollidingNames) {
+    cluster::ClusterConfig twin_cfg;  // enode01.eridani.qgg.hud.ac.uk again
+    twin_cfg.node_count = 1;
+    cluster::ClusterConfig cousin_cfg = twin_cfg;  // enode01.other.example
+    cousin_cfg.domain = "other.example";
+    cluster::Cluster twin(engine, twin_cfg);
+    cluster::Cluster cousin(engine, cousin_cfg);
+    server.enable_consistency_checks(true);
+    const std::uint64_t version = server.version();
+    EXPECT_THROW(server.attach_node(cluster.node(0)), util::PreconditionError);
+    EXPECT_THROW(server.attach_node(cluster.node(3)), util::PreconditionError);
+    EXPECT_THROW(server.attach_node(twin.node(0)), util::PreconditionError);
+    EXPECT_THROW(server.attach_node(cousin.node(0)), util::PreconditionError);
+    EXPECT_EQ(server.version(), version);
+    EXPECT_EQ(server.node_records().size(), 4u);
+    EXPECT_EQ(server.total_cpus(), 16);
+    EXPECT_EQ(server.free_cpus(), 16);
+    // Both spellings still name the first node, and a cycle's consistency
+    // check finds the name index intact.
+    ASSERT_TRUE(server.set_node_offline("enode01", true).ok());
+    EXPECT_TRUE(server.node_records()[0].offline);
+    ASSERT_TRUE(server.set_node_offline("enode01.eridani.qgg.hud.ac.uk", false).ok());
+    EXPECT_FALSE(server.node_records()[0].offline);
+    const auto id = submit(4, 4, sim::hours(1));
+    EXPECT_EQ(server.find_job(id)->state, JobState::kRunning);
+}
+
 // The name index answers both spellings of every node (pbsnodes -o/-c take
 // either the FQDN or the short name) and refuses anything else with the
 // typed error, for every node and not only the first one attached.
@@ -622,9 +653,13 @@ struct ChurnWorld {
     std::string events;                 ///< lifecycle log, one line per event
 
     ChurnWorld(std::uint64_t seed, bool strict_fifo, std::size_t retention) {
-        for (const int np : kWidths) {
+        // Every cluster names its nodes enode01, enode02, ..., and a server
+        // refuses a short name it already indexes, so width k contributes its
+        // nodes 6k..6k+5 (the rest stay off and unattached).
+        for (std::size_t k = 0; k < std::size(kWidths); ++k) {
+            const int np = kWidths[k];
             cluster::ClusterConfig cfg;
-            cfg.node_count = 6;
+            cfg.node_count = 6 * static_cast<int>(k + 1);
             cfg.cores_per_node = np;
             cfg.domain = "np" + std::to_string(np) + ".test";
             cfg.seed = seed;
@@ -642,7 +677,8 @@ struct ChurnWorld {
             events += '\n';
         });
         for (int i = 0; i < 6; ++i)
-            for (auto& c : clusters) nodes.push_back(&c->node(i));
+            for (std::size_t k = 0; k < clusters.size(); ++k)
+                nodes.push_back(&clusters[k]->node(6 * static_cast<int>(k) + i));
         for (cluster::Node* node : nodes) {
             // Every fifth boot of a node lands in Windows (PBS sees it down).
             // Keyed on the restored boot count, so a replay boots the same way.

@@ -227,10 +227,10 @@ TEST_P(WinHpcInvariants, NoCoreDoubleBookingEver) {
     auto check_invariants = [&] {
         int used = 0;
         for (const auto& rec : scheduler.node_records()) {
-            for (int owner : rec.core_owner) {
+            for (const std::uint64_t owner : scheduler.core_owners(rec)) {
                 if (owner == 0) continue;
                 ++used;
-                const winhpc::HpcJob* job = scheduler.get_job(owner);
+                const winhpc::HpcJob* job = scheduler.get_job(static_cast<int>(owner));
                 ASSERT_NE(job, nullptr);
                 EXPECT_EQ(job->state, winhpc::HpcJobState::kRunning);
             }

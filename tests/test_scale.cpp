@@ -457,7 +457,10 @@ struct WinChurnWorld {
                    std::to_string(job->start_unix) + ' ' + std::to_string(job->end_unix) + ' ' +
                    std::to_string(job->requeue_count) + ' ' +
                    std::to_string(job->tasks_finished) + ' ';
-            for (const int idx : job->allocated_node_indices) out += std::to_string(idx) + ',';
+            for (const int r : job->allocated_records.span())
+                out += std::to_string(
+                           scheduler.node_records()[static_cast<std::size_t>(r)].node->index()) +
+                       ',';
             out += '\n';
         }
         const winhpc::HpcStats& st = scheduler.stats();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "util/errors.hpp"
 #include "winhpc/scheduler.hpp"
 
 namespace hc::winhpc {
@@ -32,6 +33,12 @@ struct HpcFixture : ::testing::Test {
         engine.run_all();
     }
 
+    /// The cluster node of the job's i-th allocated record.
+    [[nodiscard]] cluster::Node& allocated_node(const HpcJob& job, std::size_t i = 0) const {
+        const int r = job.allocated_records.span()[i];
+        return *scheduler.node_records()[static_cast<std::size_t>(r)].node;
+    }
+
     int submit_node_job(int nodes, sim::Duration run_time, const std::string& name = "job") {
         HpcJobSpec spec;
         spec.name = name;
@@ -52,7 +59,7 @@ TEST_F(HpcFixture, NodeJobRunsExclusively) {
     const HpcJob* job = scheduler.get_job(id);
     ASSERT_NE(job, nullptr);
     EXPECT_EQ(job->state, HpcJobState::kRunning);
-    EXPECT_EQ(job->allocated_node_indices.size(), 2u);
+    EXPECT_EQ(job->allocated_records.span().size(), 2u);
     EXPECT_EQ(scheduler.free_cores(), 8);  // 2 of 4 nodes fully booked
     EXPECT_EQ(scheduler.fully_idle_nodes().size(), 2u);
 }
@@ -118,7 +125,7 @@ TEST_F(HpcFixture, RuntimeLimitFailsJob) {
 TEST_F(HpcFixture, NodeLossFailsJob) {
     const int id = submit_node_job(1, sim::hours(1));
     const HpcJob* job = scheduler.get_job(id);
-    cluster.node(job->allocated_node_indices[0]).reboot();
+    allocated_node(*job).reboot();
     EXPECT_EQ(job->state, HpcJobState::kFailed);
     EXPECT_EQ(scheduler.stats().failed_node_loss, 1u);
 }
@@ -131,7 +138,7 @@ TEST_F(HpcFixture, NodeLossRequeuesWhenRerunnable) {
     spec.rerun_on_failure = true;
     const int id = scheduler.submit_job(std::move(spec));
     const HpcJob* job = scheduler.get_job(id);
-    cluster.node(job->allocated_node_indices[0]).reboot();
+    allocated_node(*job).reboot();
     EXPECT_EQ(job->state, HpcJobState::kQueued);
     EXPECT_EQ(job->requeue_count, 1);
     engine.run_all();
@@ -156,8 +163,7 @@ TEST_F(HpcFixture, LinuxNodeIsUnreachable) {
 
 TEST_F(HpcFixture, AdminOfflineAndDraining) {
     const int id = submit_node_job(1, sim::hours(1));
-    const std::string busy =
-        cluster.node(scheduler.get_job(id)->allocated_node_indices[0]).short_name();
+    const std::string busy = allocated_node(*scheduler.get_job(id)).short_name();
     ASSERT_TRUE(scheduler.set_node_online(busy, false).ok());
     // Busy + offline = draining.
     bool saw_draining = false;
@@ -165,6 +171,34 @@ TEST_F(HpcFixture, AdminOfflineAndDraining) {
         if (rec.state() == HpcNodeState::kDraining) saw_draining = true;
     EXPECT_TRUE(saw_draining);
     EXPECT_FALSE(scheduler.set_node_online("nonesuch", false).ok());
+}
+
+// Attaching a node twice, or a second node whose FQDN or short name is
+// already indexed, is refused and changes nothing: the later node must not
+// take over a name, or set_node_online would act on it instead of the first.
+TEST_F(HpcFixture, AttachRefusesTheSameNodeAndCollidingNames) {
+    cluster::ClusterConfig twin_cfg;  // enode01.eridani.qgg.hud.ac.uk again
+    twin_cfg.node_count = 1;
+    cluster::ClusterConfig cousin_cfg = twin_cfg;  // enode01.other.example
+    cousin_cfg.domain = "other.example";
+    cluster::Cluster twin(engine, twin_cfg);
+    cluster::Cluster cousin(engine, cousin_cfg);
+    scheduler.enable_consistency_checks(true);
+    EXPECT_THROW(scheduler.attach_node(cluster.node(0)), util::PreconditionError);
+    EXPECT_THROW(scheduler.attach_node(cluster.node(3)), util::PreconditionError);
+    EXPECT_THROW(scheduler.attach_node(twin.node(0)), util::PreconditionError);
+    EXPECT_THROW(scheduler.attach_node(cousin.node(0)), util::PreconditionError);
+    EXPECT_EQ(scheduler.node_records().size(), 4u);
+    EXPECT_EQ(scheduler.total_cores(), 16);
+    EXPECT_EQ(scheduler.free_cores(), 16);
+    // Both spellings still name the first node, and a cycle's consistency
+    // check finds the name index intact.
+    ASSERT_TRUE(scheduler.set_node_online("enode01", false).ok());
+    EXPECT_TRUE(scheduler.node_records()[0].admin_offline);
+    ASSERT_TRUE(scheduler.set_node_online("enode01.eridani.qgg.hud.ac.uk", true).ok());
+    EXPECT_FALSE(scheduler.node_records()[0].admin_offline);
+    const int id = submit_node_job(4, sim::hours(1));
+    EXPECT_EQ(scheduler.get_job(id)->state, HpcJobState::kRunning);
 }
 
 // By-name admin calls take the FQDN or the short name of any node and refuse
@@ -198,9 +232,13 @@ TEST_F(HpcFixture, OnStartSeesAllocation) {
     spec.min_resources = 2;
     spec.run_time = sim::seconds(1);
     std::vector<int> seen;
-    spec.on_start = [&seen](HpcJob& job) { seen = job.allocated_node_indices; };
+    spec.on_start = [this, &seen](HpcJob& job) {
+        for (std::size_t i = 0; i < job.allocated_records.span().size(); ++i)
+            seen.push_back(allocated_node(job, i).index());
+    };
     (void)scheduler.submit_job(std::move(spec));
-    EXPECT_EQ(seen.size(), 2u);
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_NE(seen[0], seen[1]);
 }
 
 TEST_F(HpcFixture, NodeListOutputRendersStates) {
@@ -256,7 +294,7 @@ TEST_F(HpcFixture, TaskJobRestartsTasksAfterRequeue) {
     const HpcJob* job = scheduler.get_job(id);
     engine.run_for(sim::minutes(5));
     const std::int64_t first_start = job->start_unix;
-    cluster.node(job->allocated_node_indices[0]).reboot();  // kills the allocation
+    allocated_node(*job).reboot();  // kills the allocation
     // The requeue is immediate and, with free nodes available, so is the
     // re-placement — the job is running again on a different node with its
     // tasks restarted from scratch.
