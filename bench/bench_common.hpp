@@ -8,11 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "sweep/runner.hpp"
+#include "util/json_out.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/time_format.hpp"
@@ -21,39 +24,47 @@
 
 namespace hc::bench {
 
-// ---- machine-readable perf records (`--json <path>`) -----------------------
+// ---- machine-readable records (`--json <path>`) ---------------------------
 //
-// Benches that track the perf trajectory emit one JSON object per run:
+// Benches that keep a committed baseline emit one JSON object per run:
 //
-//   {"schema": "hc-bench-json/1", "bench": "P1", "records": [
-//     {"metric": "engine_events_per_sec", "value": 1.2e7, "unit": "events/s",
-//      "params": {"variant": "steady"}}, ...]}
+//   {"schema": "hc-bench-json/1", "bench": "P2",
+//    "host": {"nproc": 4, "cpu": "...", "compiler": "GNU 13.2.0",
+//             "build_type": "RelWithDebInfo"},
+//    "records": [{"metric": "stream_scheduler_cycles", "value": 2001000,
+//                 "unit": "count", "params": {"nodes": "1000"}}, ...]}
 //
 // Records are append-only within a run and parameterised by string key/value
 // pairs (node counts, variants), so a later run of the same bench can be
 // diffed record-by-record: two records compare when `metric` and `params`
-// match exactly. See README "Benchmarks & perf trajectory".
+// match exactly. The `host` block names the machine, the same fields as
+// perfbench's host line, so figures from different machines are never
+// compared. Wall-clock speed of the simulator's paths is perfbench's to
+// measure; see README "Benchmarks & perf trajectory".
 
-inline std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
+#ifndef HC_BENCH_COMPILER
+#define HC_BENCH_COMPILER "unknown"
+#endif
+#ifndef HC_BENCH_BUILD_TYPE
+#define HC_BENCH_BUILD_TYPE "unknown"
+#endif
+
+/// The CPU model from /proc/cpuinfo ("unknown" where it is unreadable).
+inline std::string cpu_model() {
+    std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+    if (f == nullptr) return "unknown";
+    std::string model = "unknown";
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        const std::string_view text(line);
+        if (!text.starts_with("model name")) continue;
+        const auto colon = text.find(':');
+        if (colon != std::string_view::npos)
+            model = std::string(util::trim(text.substr(colon + 1)));
+        break;
     }
-    return out;
+    std::fclose(f);
+    return model;
 }
 
 class JsonReport {
@@ -64,16 +75,6 @@ public:
     void add(std::string metric, double value, std::string unit,
              std::vector<std::pair<std::string, std::string>> params = {}) {
         records_.push_back(Record{std::move(metric), value, std::move(unit), std::move(params)});
-    }
-
-    /// Append a relative-overhead record: how much slower `measured` is than
-    /// `base`, as a percentage (negative = faster). Used for guardrails like
-    /// "instrumentation disabled must cost ~0%" — the driver diffs the
-    /// record across runs like any other metric.
-    void add_overhead_pct(std::string metric, double base, double measured,
-                          std::vector<std::pair<std::string, std::string>> params = {}) {
-        const double pct = base > 0 ? (measured - base) / base * 100.0 : 0.0;
-        add(std::move(metric), pct, "%", std::move(params));
     }
 
     /// Record how the bench's replica sweep executed. Emitted as top-level
@@ -96,23 +97,24 @@ public:
         has_fork_ = true;
     }
 
-    /// The records array alone — everything in it is deterministic
-    /// (simulated-time metrics, fixed params), so two runs of the same bench
-    /// at different thread counts must produce byte-identical output here.
-    /// The sweep invariance test compares exactly this string.
+    /// The records array alone, with none of the envelope (host, sweep and
+    /// fork fields). Two runs that differ only in `--threads`, or only in
+    /// running a campaign forked or cold, must produce byte-identical output
+    /// here; the sweep invariance tests compare exactly this string. P2 and
+    /// SERVE give the same bytes on every run; P1, P3, E10 (`build_ms`) and
+    /// A3 also hold wall-clock records.
     [[nodiscard]] std::string render_records() const {
         std::string out = "[";
         for (std::size_t i = 0; i < records_.size(); ++i) {
             const Record& r = records_[i];
             if (i > 0) out += ",";
-            char num[40];
-            std::snprintf(num, sizeof num, "%.9g", r.value);
-            out += "\n  {\"metric\": \"" + json_escape(r.metric) + "\", \"value\": " + num +
-                   ", \"unit\": \"" + json_escape(r.unit) + "\", \"params\": {";
+            out += "\n  {\"metric\": " + util::json_quote(r.metric) +
+                   ", \"value\": " + util::json_number(r.value) +
+                   ", \"unit\": " + util::json_quote(r.unit) + ", \"params\": {";
             for (std::size_t j = 0; j < r.params.size(); ++j) {
                 if (j > 0) out += ", ";
-                out += "\"" + json_escape(r.params[j].first) + "\": \"" +
-                       json_escape(r.params[j].second) + "\"";
+                out += util::json_quote(r.params[j].first) + ": " +
+                       util::json_quote(r.params[j].second);
             }
             out += "}}";
         }
@@ -121,8 +123,12 @@ public:
     }
 
     [[nodiscard]] std::string render() const {
-        std::string out = "{\"schema\": \"hc-bench-json/1\", \"bench\": \"" +
-                          json_escape(bench_id_) + "\"";
+        std::string out = "{\"schema\": \"hc-bench-json/1\", \"bench\": " +
+                          util::json_quote(bench_id_) + ", \"host\": {\"nproc\": " +
+                          std::to_string(std::thread::hardware_concurrency()) +
+                          ", \"cpu\": " + util::json_quote(cpu_model()) +
+                          ", \"compiler\": " + util::json_quote(HC_BENCH_COMPILER) +
+                          ", \"build_type\": " + util::json_quote(HC_BENCH_BUILD_TYPE) + "}";
         if (has_sweep_) {
             char buf[160];
             std::snprintf(buf, sizeof buf,

@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
     {  // State 1: nothing running, nothing queued -> "Other state".
         LiveRig rig(true);
         core::PbsDetector detector(*rig.pbs);
-        std::printf("--- state: idle ---\n%s\n", detector.check().debug_text.c_str());
+        (void)detector.check();
+        std::printf("--- state: idle ---\n%s\n", detector.fig6_text().c_str());
     }
     {  // State 2: job running, no queue.
         LiveRig rig(true);
@@ -101,8 +102,8 @@ int main(int argc, char** argv) {
         (void)rig.pbs->submit(script, "sliang", std::move(behavior));
         rig.engine.run_for(sim::hours(0.005));
         core::PbsDetector detector(*rig.pbs);
-        std::printf("--- state: running, no queuing ---\n%s\n",
-                    detector.check().debug_text.c_str());
+        (void)detector.check();
+        std::printf("--- state: running, no queuing ---\n%s\n", detector.fig6_text().c_str());
     }
     {  // State 3: stuck (all nodes in Windows, one job queued).
         LiveRig rig(false);
@@ -110,7 +111,8 @@ int main(int argc, char** argv) {
         script.resources.ppn = 4;
         (void)rig.pbs->submit(script, "sliang");
         core::PbsDetector detector(*rig.pbs);
-        std::printf("--- state: queue stuck ---\n%s\n", detector.check().debug_text.c_str());
+        (void)detector.check();
+        std::printf("--- state: queue stuck ---\n%s\n", detector.fig6_text().c_str());
     }
 
     std::printf("--- detector micro-benchmarks ---\n");

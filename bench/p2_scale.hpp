@@ -2,13 +2,11 @@
 //
 // Builds an N-node Linux-side testbed, streams a batched job-arrival
 // workload through the PBS server while an incremental detector polls, and
-// collects two kinds of results:
-//  * P2Counters — pure simulated-domain work counters (cycles, renders,
-//    stanza parses, purges...). Deterministic: the same config must produce
-//    the same counters on every run, at any optimisation level, which is
-//    what the golden-determinism test pins.
-//  * wall-clock timings + resident-set deltas, measured only by the bench
-//    binary (never asserted on in tests).
+// collects P2Counters: pure simulated-domain work counters (cycles,
+// renders, stanza parses, purges...). Deterministic: the same config must
+// produce the same counters on every run, at any optimisation level, which
+// is what the golden-determinism test pins. The wall-clock cost of the same
+// stream at 100k nodes is perfbench's `pbs_stream` workload.
 #pragma once
 
 #include <cstdint>
@@ -168,27 +166,6 @@ inline P2Counters run_p2_stream(const P2StreamConfig& cfg) {
     out.final_unix = bed.engine.unix_now();
     out.peak_active_jobs = peak_active;
     return out;
-}
-
-/// Resident set size (VmRSS) in KiB, or 0 where /proc is unavailable.
-inline std::size_t resident_kib() {
-#ifdef __linux__
-    std::FILE* f = std::fopen("/proc/self/status", "r");
-    if (f == nullptr) return 0;
-    char line[256];
-    std::size_t kib = 0;
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-        unsigned long long value = 0;
-        if (std::sscanf(line, "VmRSS: %llu kB", &value) == 1) {
-            kib = static_cast<std::size_t>(value);
-            break;
-        }
-    }
-    std::fclose(f);
-    return kib;
-#else
-    return 0;
-#endif
 }
 
 }  // namespace hc::bench

@@ -109,10 +109,70 @@ int PbsDetector::count_idle_nodes(const std::string& pbsnodes_text) {
     return idle;
 }
 
+namespace {
+
+/// The wire record a qstat -f reading yields: stuck when nothing runs and
+/// something queues, asking for the first queued job's CPUs.
+QueueStateRecord record_from(const PbsDetector::QstatParse& p) {
+    QueueStateRecord record;
+    record.stuck = p.running == 0 && p.queued > 0;
+    if (record.stuck) {
+        record.needed_cpus = p.first_queued_cpus;
+        record.stuck_job_id = p.first_queued_id;
+    }
+    return record;
+}
+
+std::string counts_line(int running, int queued) {
+    return "R=" + std::to_string(running) + " nR=" + std::to_string(queued) + "\n";
+}
+
+}  // namespace
+
 QueueSnapshot PbsDetector::check() {
     ++poll_stats_.polls;
-    if (doc_server_ != nullptr) return check_streaming();
-    return snapshot_from_parse(parse_qstat_f(qstat_f_()), count_idle_nodes(pbsnodes_()));
+    int idle_nodes = 0;
+    if (doc_server_ != nullptr) {
+        sync_streaming();
+        idle_nodes = idle_count_;
+    } else {
+        first_jobs_ = parse_qstat_f(qstat_f_());
+        idle_nodes = count_idle_nodes(pbsnodes_());
+    }
+    QueueSnapshot snap;
+    checked_unix_ = unix_clock_ ? unix_clock_() : -1;
+    snap.checked_unix = checked_unix_;
+    // A scrape failure reads as "other state": the daemon must never crash
+    // on odd scheduler output; it just reports not-stuck.
+    if (!*first_jobs_) return snap;
+    const QstatParse& p = first_jobs_->value();
+    snap.running = p.running;
+    snap.queued = p.queued;
+    snap.idle_nodes = idle_nodes;
+    snap.record = record_from(p);
+    return snap;
+}
+
+std::string PbsDetector::fig6_text() const {
+    if (!first_jobs_) return {};
+    if (!*first_jobs_) return "parse error: " + first_jobs_->error_message() + "\n";
+    // Fig 6: the wire record first, then the debug block.
+    const QstatParse& p = first_jobs_->value();
+    const QueueStateRecord record = record_from(p);
+    std::string text = record.encode() + "\n";
+    if (record.stuck) {
+        text += "Queue stuck\n" + counts_line(p.running, p.queued);
+    } else if (p.running > 0 && p.queued == 0) {
+        text += "Job running, no queuing.\n" + counts_line(p.running, p.queued);
+        text += p.first_running_id + "\n";
+        text += "    Job_Name=" + p.first_running_name + "\n";
+        text += "    Job_Ownner=" + p.first_running_owner + "\n";
+        text += "    state=R\n";
+        text += "    time=" + util::format_detector_time(checked_unix_) + "\n";
+    } else {
+        text += "Other state\n" + counts_line(p.running, p.queued);
+    }
+    return text;
 }
 
 namespace {
@@ -240,7 +300,7 @@ void PbsDetector::apply_node_chunk(std::uint64_t key, const util::TextDocument::
     node_idle_[k] = idle ? 1 : 0;
 }
 
-QueueSnapshot PbsDetector::check_streaming() {
+void PbsDetector::sync_streaming() {
     const util::TextDocument& qdoc = doc_server_->qstat_f_document();
     const util::TextDocument& ndoc = doc_server_->pbsnodes_document();
     // A document whose version did not move has no changed chunk, and the
@@ -275,7 +335,6 @@ QueueSnapshot PbsDetector::check_streaming() {
     }
     doc_synced_ = true;
     if (!first_jobs_) first_jobs_ = read_first_jobs(qdoc);
-    return snapshot_from_parse(*first_jobs_, idle_count_);
 }
 
 Result<PbsDetector::QstatParse> PbsDetector::read_first_jobs(const util::TextDocument& qdoc) const {
@@ -302,51 +361,6 @@ Result<PbsDetector::QstatParse> PbsDetector::read_first_jobs(const util::TextDoc
     return p;
 }
 
-QueueSnapshot PbsDetector::snapshot_from_parse(const util::Result<QstatParse>& parsed,
-                                               int idle_nodes) {
-    QueueSnapshot snap;
-    snap.checked_unix = unix_clock_ ? unix_clock_() : -1;
-    if (!parsed) {
-        // A scrape failure reads as "other state" — the daemon must never
-        // crash on odd scheduler output; it just reports not-stuck.
-        snap.debug_text = "parse error: " + parsed.error_message() + "\n";
-        snap.record = QueueStateRecord{};
-        return snap;
-    }
-    const QstatParse& p = parsed.value();
-    snap.running = p.running;
-    snap.queued = p.queued;
-    snap.idle_nodes = idle_nodes;
-    snap.record.stuck = p.running == 0 && p.queued > 0;
-    if (snap.record.stuck) {
-        snap.record.needed_cpus = p.first_queued_cpus;
-        snap.record.stuck_job_id = p.first_queued_id;
-    }
-
-    // Reproduce the Fig 6 presentation: wire record first, then the debug
-    // block (including the paper's "Job_Ownner" spelling).
-    snap.debug_text = snap.record.encode() + "\n";
-    if (snap.record.stuck) {
-        snap.debug_text += "Queue stuck\n";
-        snap.debug_text +=
-            "R=" + std::to_string(p.running) + " nR=" + std::to_string(p.queued) + "\n";
-    } else if (p.running > 0 && p.queued == 0) {
-        snap.debug_text += "Job running, no queuing.\n";
-        snap.debug_text +=
-            "R=" + std::to_string(p.running) + " nR=" + std::to_string(p.queued) + "\n";
-        snap.debug_text += p.first_running_id + "\n";
-        snap.debug_text += "    Job_Name=" + p.first_running_name + "\n";
-        snap.debug_text += "    Job_Ownner=" + p.first_running_owner + "\n";
-        snap.debug_text += "    state=R\n";
-        snap.debug_text += "    time=" + util::format_detector_time(unix_clock_()) + "\n";
-    } else {
-        snap.debug_text += "Other state\n";
-        snap.debug_text +=
-            "R=" + std::to_string(p.running) + " nR=" + std::to_string(p.queued) + "\n";
-    }
-    return snap;
-}
-
 WinHpcDetector::WinHpcDetector(const winhpc::HpcScheduler& scheduler, int cores_per_node)
     : scheduler_(scheduler), cores_per_node_(cores_per_node) {}
 
@@ -369,11 +383,15 @@ QueueSnapshot WinHpcDetector::check() {
             snap.record.stuck = false;  // raced a start; report calm state
         }
     }
-    snap.debug_text = snap.record.encode() + "\n" +
-                      (snap.record.stuck ? "Queue stuck\n" : "Other state\n") +
-                      "R=" + std::to_string(snap.running) + " nR=" + std::to_string(snap.queued) +
-                      "\n";
+    last_ = snap;
     return snap;
+}
+
+std::string WinHpcDetector::fig6_text() const {
+    if (!last_) return {};
+    return last_->record.encode() + "\n" +
+           (last_->record.stuck ? "Queue stuck\n" : "Other state\n") +
+           counts_line(last_->running, last_->queued);
 }
 
 }  // namespace hc::core

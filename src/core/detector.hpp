@@ -67,6 +67,15 @@ public:
     [[nodiscard]] QueueSnapshot check() override;
     [[nodiscard]] std::string name() const override { return "checkqueue.pl"; }
 
+    /// The Fig 6 block for the last poll: the wire record, then "Queue
+    /// stuck", "Job running, no queuing." (with the first running job's id,
+    /// name, owner and the poll's time, in the paper's "Job_Ownner"
+    /// spelling) or "Other state", then the R=/nR= counts; "parse error: …"
+    /// when the listing did not parse. Rendered on request from the reading
+    /// the poll kept, so a poll builds no text. Empty before the first poll
+    /// and after restore_state() until the next one.
+    [[nodiscard]] std::string fig6_text() const;
+
     /// Parse a qstat -f listing into (running, queued, first-queued id,
     /// first-queued CPUs, first-running job block). Exposed for tests.
     struct QstatParse {
@@ -137,10 +146,8 @@ private:
         util::IndexBitset running_;
     };
 
-    [[nodiscard]] QueueSnapshot check_streaming();
+    void sync_streaming();
     [[nodiscard]] util::Result<QstatParse> read_first_jobs(const util::TextDocument& qdoc) const;
-    [[nodiscard]] QueueSnapshot snapshot_from_parse(const util::Result<QstatParse>& parsed,
-                                                    int idle_nodes);
     void apply_job_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk);
     void apply_node_chunk(std::uint64_t key, const util::TextDocument::Chunk* chunk);
 
@@ -158,9 +165,11 @@ private:
     JobKeys job_keys_;
     std::vector<std::uint8_t> node_idle_;  ///< by chunk key (node index): counted idle
     int idle_count_ = 0;
-    /// The qstat -f reading at qstat_doc_version_ (counts plus the first
-    /// queued/running job's fields); empty until read.
+    /// The last poll's qstat -f reading (counts plus the first queued and
+    /// running job's fields): the whole-string parse, or on the streaming
+    /// path the reading at qstat_doc_version_. Empty until read.
     std::optional<util::Result<QstatParse>> first_jobs_;
+    std::int64_t checked_unix_ = -1;  ///< the last poll's clock reading
     std::vector<std::uint64_t> changed_buf_;
     PollStats poll_stats_;
 
@@ -201,9 +210,14 @@ public:
     [[nodiscard]] QueueSnapshot check() override;
     [[nodiscard]] std::string name() const override { return "winhpc-detector"; }
 
+    /// The Fig 6 block for the last poll (wire record, "Queue stuck" or
+    /// "Other state", R=/nR= counts); empty before the first poll.
+    [[nodiscard]] std::string fig6_text() const;
+
 private:
     const winhpc::HpcScheduler& scheduler_;
     int cores_per_node_;
+    std::optional<QueueSnapshot> last_;
 };
 
 }  // namespace hc::core

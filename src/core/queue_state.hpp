@@ -49,7 +49,6 @@ struct QueueSnapshot {
     /// snapshot. Consumers that cache snapshots (hc::serve) report their
     /// staleness as `now - checked_unix`. -1 = detector had no clock.
     std::int64_t checked_unix = -1;
-    std::string debug_text;  ///< the Fig 6 human-readable block
 };
 
 inline constexpr int kJobIdFieldWidth = 63;  ///< positions 5..67

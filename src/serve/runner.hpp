@@ -4,8 +4,9 @@
 //  * ServeCounters — pure simulated-domain totals. Deterministic: a fixed
 //    spec produces byte-identical counters (and render_report(false) text)
 //    on every run, at any thread count, which tests/test_serve.cpp pins.
-//  * wall-clock (wall_ms, wall submissions/sec) — measured here, reported
-//    only by the CLI/bench layers, never asserted on.
+//  * wall-clock (build_ms for the world, wall_ms for the service run that
+//    follows, wall requests/sec) — measured here, reported only by the CLI,
+//    never asserted on.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,11 @@ struct ServeResult {
     obs::MetricsSnapshot metrics;
     core::QueueSnapshot last_snapshot;
     double sim_hours = 0;
-    double wall_ms = 0;  ///< NOT deterministic; excluded from render(false)
+    /// NOT deterministic; excluded from render(false). build_ms covers the
+    /// engine, cluster, scheduler, boot settle and cloud partition; wall_ms
+    /// starts after them, with the service and fleet, and ends at the drain.
+    double build_ms = 0;
+    double wall_ms = 0;
 
     /// Deterministic quantities derived from counters/metrics.
     [[nodiscard]] double submissions_per_sim_hour() const;

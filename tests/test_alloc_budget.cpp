@@ -210,16 +210,11 @@ TEST(AllocBudget, SteadyWinHpcJobLifecycle) {
 
 /// Allocations of one detector poll of a server that has not changed since
 /// the previous poll (one job running, none queued: the "Job running, no
-/// queuing" branch of the Fig 6 report), measured at 11. The streaming path
-/// re-parses no stanza and re-reads no first-job field, so all eleven build
-/// the snapshot's debug_text: the string itself grows four times as the
-/// block is appended (to 35, 70, 140 and 280 bytes); the first running
-/// job's id line is copied and then regrown for its newline (2); the
-/// Job_Name line (1); the Job_Ownner line, built and then regrown for its
-/// newline (2); format_detector_time's string (1) and the time= line made
-/// from it (1). The wire record ("00000none") stays in the small-string
-/// buffer.
-constexpr std::uint64_t kSteadyPollAllocations = 11;
+/// queuing" branch of the Fig 6 report), measured at 0. The streaming path
+/// re-parses no stanza and re-reads no first-job field, and the poll builds
+/// no text: the Fig 6 block is rendered only when fig6_text() is called.
+/// The wire record ("00000none") of the returned snapshot holds no id.
+constexpr std::uint64_t kSteadyPollAllocations = 0;
 
 TEST(AllocBudget, SteadyDetectorPoll) {
 #ifdef HC_TEST_SANITIZED
@@ -243,12 +238,14 @@ TEST(AllocBudget, SteadyDetectorPoll) {
     const core::QueueSnapshot first = detector.check();  // the first poll syncs
     ASSERT_EQ(first.running, 1);
     ASSERT_EQ(first.queued, 0);
+    const std::string first_text = detector.fig6_text();
     constexpr std::uint64_t kPolls = 64;
-    std::size_t text_bytes = 0;
+    int running = 0;
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (std::uint64_t i = 0; i < kPolls; ++i) text_bytes += detector.check().debug_text.size();
+    for (std::uint64_t i = 0; i < kPolls; ++i) running += detector.check().running;
     const std::uint64_t used = g_allocations.load(std::memory_order_relaxed) - before;
-    EXPECT_EQ(text_bytes, kPolls * first.debug_text.size());
+    EXPECT_EQ(running, static_cast<int>(kPolls));
+    EXPECT_EQ(detector.fig6_text(), first_text);
     EXPECT_LE(used, kSteadyPollAllocations * kPolls)
         << "a steady detector poll allocated " << static_cast<double>(used) / kPolls
         << " times, budget " << kSteadyPollAllocations;

@@ -313,6 +313,8 @@ std::string burst_sweep_records(int threads) {
         report.add("completed", static_cast<double>(r.summary.completed), "jobs", p);
     }
     report.set_sweep(out.stats);  // wall-clock envelope must NOT leak into records
+    EXPECT_NE(report.render().find("\"host\": {\"nproc\": "), std::string::npos);
+    EXPECT_EQ(report.render_records().find("\"host\""), std::string::npos);
     return report.render_records();
 }
 

@@ -117,8 +117,8 @@ TEST_F(DetectorFixture, PbsDetectorIdleState) {
     EXPECT_FALSE(snap.record.stuck);
     EXPECT_EQ(snap.record.encode(), "00000none");
     EXPECT_EQ(snap.idle_nodes, 4);
-    EXPECT_NE(snap.debug_text.find("Other state"), std::string::npos);
-    EXPECT_NE(snap.debug_text.find("R=0 nR=0"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("Other state"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("R=0 nR=0"), std::string::npos);
 }
 
 TEST_F(DetectorFixture, PbsDetectorRunningNoQueue) {
@@ -134,12 +134,12 @@ TEST_F(DetectorFixture, PbsDetectorRunningNoQueue) {
     EXPECT_FALSE(snap.record.stuck);
     EXPECT_EQ(snap.running, 1);
     // The Fig 6 "running" debug block, with the paper's Job_Ownner spelling.
-    EXPECT_NE(snap.debug_text.find("Job running, no queuing."), std::string::npos);
-    EXPECT_NE(snap.debug_text.find("Job_Name=sleep"), std::string::npos);
-    EXPECT_NE(snap.debug_text.find("Job_Ownner=sliang@eridani.qgg.hud.ac.uk"),
+    EXPECT_NE(detector.fig6_text().find("Job running, no queuing."), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("Job_Name=sleep"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("Job_Ownner=sliang@eridani.qgg.hud.ac.uk"),
               std::string::npos);
-    EXPECT_NE(snap.debug_text.find("state=R"), std::string::npos);
-    EXPECT_NE(snap.debug_text.find("time=2010 04 1"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("state=R"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("time=2010 04 1"), std::string::npos);
     EXPECT_EQ(snap.idle_nodes, 3);
 }
 
@@ -156,8 +156,8 @@ TEST_F(DetectorFixture, PbsDetectorStuckState) {
     EXPECT_EQ(snap.record.needed_cpus, 4);
     EXPECT_EQ(snap.record.stuck_job_id, id);
     EXPECT_EQ(snap.idle_nodes, 0);
-    EXPECT_NE(snap.debug_text.find("Queue stuck"), std::string::npos);
-    EXPECT_NE(snap.debug_text.find("R=0 nR=1"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("Queue stuck"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("R=0 nR=1"), std::string::npos);
 }
 
 TEST_F(DetectorFixture, PbsDetectorSurvivesGarbageText) {
@@ -166,7 +166,7 @@ TEST_F(DetectorFixture, PbsDetectorSurvivesGarbageText) {
                          [] { return std::string(""); }, [] { return std::int64_t{0}; });
     const QueueSnapshot snap = detector.check();
     EXPECT_FALSE(snap.record.stuck);  // fails safe
-    EXPECT_NE(snap.debug_text.find("parse error"), std::string::npos);
+    EXPECT_NE(detector.fig6_text().find("parse error"), std::string::npos);
 }
 
 TEST_F(DetectorFixture, ServerWiredDetectorStreamsChangedStanzasOnly) {
@@ -178,7 +178,8 @@ TEST_F(DetectorFixture, ServerWiredDetectorStreamsChangedStanzasOnly) {
     ASSERT_TRUE(pbs.submit(script, "u", std::move(behavior)).ok());
 
     PbsDetector detector(pbs);
-    const QueueSnapshot first = detector.check();
+    (void)detector.check();
+    const std::string first_text = detector.fig6_text();
     // The first poll walks both documents: one resync each.
     EXPECT_EQ(detector.poll_stats().resyncs, 2u);
     const std::uint64_t synced_parses = detector.poll_stats().stanza_parses;
@@ -189,7 +190,7 @@ TEST_F(DetectorFixture, ServerWiredDetectorStreamsChangedStanzasOnly) {
     EXPECT_EQ(detector.poll_stats().polls, 2u);
     EXPECT_EQ(detector.poll_stats().resyncs, 2u);
     EXPECT_EQ(detector.poll_stats().stanza_parses, synced_parses);
-    EXPECT_EQ(second.debug_text, first.debug_text);
+    EXPECT_EQ(detector.fig6_text(), first_text);
 
     // And it reads exactly what the whole-string scraper reads.
     PbsDetector oracle([this] { return pbs.qstat_f_output(); },
@@ -200,7 +201,7 @@ TEST_F(DetectorFixture, ServerWiredDetectorStreamsChangedStanzasOnly) {
     EXPECT_EQ(second.running, want.running);
     EXPECT_EQ(second.queued, want.queued);
     EXPECT_EQ(second.idle_nodes, want.idle_nodes);
-    EXPECT_EQ(second.debug_text, want.debug_text);
+    EXPECT_EQ(detector.fig6_text(), oracle.fig6_text());
 }
 
 TEST_F(DetectorFixture, ServerWiredShimRefusesWholeStringMode) {
@@ -227,6 +228,8 @@ TEST_F(DetectorFixture, WinDetectorStuck) {
     EXPECT_TRUE(snap.record.stuck);
     EXPECT_EQ(snap.record.needed_cpus, 8);
     EXPECT_EQ(snap.record.stuck_job_id, std::to_string(id) + ".winhpc");
+    EXPECT_EQ(detector.fig6_text(),
+              snap.record.encode() + "\nQueue stuck\nR=0 nR=1\n");
 }
 
 TEST_F(DetectorFixture, WinDetectorRunningNotStuck) {

@@ -334,7 +334,7 @@ TEST_P(DetectorFuzz, MutatedQstatTextIsHandledGracefully) {
         core::PbsDetector detector([&text] { return text; }, [] { return std::string(); },
                                    [] { return std::int64_t{0}; });
         const core::QueueSnapshot snap = detector.check();
-        if (snap.debug_text.rfind("parse error", 0) == 0) {
+        if (detector.fig6_text().rfind("parse error", 0) == 0) {
             EXPECT_FALSE(snap.record.stuck);
         }
         // Wire encoding of whatever came out must itself round-trip.

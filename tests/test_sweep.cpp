@@ -278,6 +278,8 @@ TEST(SweepDeterminism, BenchJsonRecordsByteIdenticalAcrossThreads) {
         report.add("wait_p95", out.mean_wait_hist.percentile(0.95), "s", {});
         report.add("wait_count", static_cast<double>(out.mean_wait_hist.count()), "count", {});
         report.set_sweep(out.stats);  // must NOT leak into render_records()
+        EXPECT_NE(report.render().find("\"host\": {\"nproc\": "), std::string::npos);
+        EXPECT_EQ(report.render_records().find("\"host\""), std::string::npos);
         return report.render_records();
     };
     const std::string serial = render(1);

@@ -2,13 +2,14 @@
 //
 //   bench_check <baseline.json> <candidate.json>
 //
-// Both files must be hc-bench-json/1 documents for the same bench id. The
-// comparison is over record *identities* — (metric, unit, params) — never
-// values: CI runs the benches with `--quick`, whose timings are meaningless,
-// but whose record set must exactly match the committed full-run baseline.
-// A metric that silently disappears, gains a unit change, or sprouts a new
-// params axis is schema drift and fails the build (exit 1). Parse or I/O
-// problems exit 2.
+// Both files must be hc-bench-json/1 documents for the same bench id, each
+// with a `host` object naming the machine that produced it. The comparison
+// is over record *identities* — (metric, unit, params) — never values, and
+// never the host's: CI runs the benches with `--quick` on other machines,
+// so its values are not comparable, but its record set must exactly match
+// the committed full-run baseline. A metric that silently disappears, gains
+// a unit change, or sprouts a new params axis is schema drift and fails the
+// build (exit 1). Parse or I/O problems, and a missing `host`, exit 2.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -74,6 +75,11 @@ bool load_report(const char* path, Report& out) {
         return false;
     }
     out.bench = hc::util::json_str_or(root, "bench", "");
+    if (const auto* host = root.find("host");
+        host == nullptr || host->type != hc::util::JsonValue::Type::kObject) {
+        std::fprintf(stderr, "bench_check: %s: missing \"host\" object\n", path);
+        return false;
+    }
 
     const auto* records = root.find("records");
     if (records == nullptr || records->type != hc::util::JsonValue::Type::kArray) {

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
             hc::util::render_queue_status_json("hc-checkqueue/1", fields) + "\n";
         std::fputs(out.c_str(), stdout);
     } else {
-        std::fputs(snap.debug_text.c_str(), stdout);
+        std::fputs(detector.fig6_text().c_str(), stdout);
     }
     return snap.record.stuck ? 2 : 0;
 }
